@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per capability, JSON or text output.
 
 Exit codes: 0 success, 1 usage or ideal-syntax errors, 2 precondition
-violations (with a machine-readable error object on stderr).  Output is
-fully deterministic; big integers are serialized as decimal strings so
-downstream JSON consumers cannot lose precision.
+violations or inputs too deep for a recursive algorithm (``RecursionError``),
+with a machine-readable error object on stderr.  Output is fully
+deterministic; big integers are serialized as decimal strings so downstream
+JSON consumers cannot lose precision.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": {"type": "syntax", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         json.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr
         )

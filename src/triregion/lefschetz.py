@@ -4,6 +4,12 @@ The quotient has the property exactly when every bi-adjacency matrix of its
 triangular regions has maximal rank, which identifies the multiplication
 map by x+y+z degree by degree.  No generic linear form search is needed:
 for monomial ideals in characteristic zero this single choice is complete.
+
+Ranks come from ``matrices.rank``: full rank modulo the prime 2^61 - 1
+proves full rank over Q, and anything less is recomputed by exact
+elimination, so every verdict is exact.  Once the map by x+y+z is onto some
+degree it is onto every later degree, so ``has_wlp`` computes no rank past
+the first surjective degree.
 """
 
 from __future__ import annotations
@@ -73,13 +79,23 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     The scan short-circuits at the first non-maximal degree but still
     reports every record computed on the way.  Termination is guaranteed
     for Artinian ideals because the Hilbert function eventually vanishes.
+
+    Once a record has ``rank == cols``, multiplication by l = x+y+z maps
+    A_{d-2} onto A_{d-1}; then A_d = A_1*A_{d-1} = A_1*l*A_{d-2} lies in
+    l*A_{d-1}, so every later map is onto as well.  Those later records
+    are filled in from the Hilbert function without building a matrix, and
+    they equal what ``wlp_in_degree`` would return.
     """
     ideal.require_artinian()
     records: list[DegreeRecord] = []
     d = 0
     while True:
         d += 1
-        record = wlp_in_degree(ideal, d)
+        if records and records[-1].rank == records[-1].cols:
+            rows, cols = records[-1].cols, ideal.hilbert_function(d - 1)
+            record = DegreeRecord(d=d, rows=rows, cols=cols, rank=cols, maximal=True)
+        else:
+            record = wlp_in_degree(ideal, d)
         records.append(record)
         if not record.maximal:
             return WlpReport(False, d, tuple(records), d)

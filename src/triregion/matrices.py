@@ -1,8 +1,10 @@
 """Bi-adjacency matrices and exact integer linear algebra.
 
 Everything is computed over the integers with Python's arbitrary-precision
-arithmetic; there is no floating point anywhere.  Determinant and rank use
-fraction-free elimination, the permanent uses inclusion-exclusion with
+arithmetic; there is no floating point anywhere.  The determinant uses
+fraction-free elimination.  The rank is first computed modulo a large prime,
+which proves full rank when it finds it, and falls back to fraction-free
+elimination otherwise.  The permanent uses inclusion-exclusion with
 Gray-code subset updates, falling back to matching enumeration for large
 0/1 matrices.
 """
@@ -16,6 +18,9 @@ from .regions import TriangularRegion
 
 #: Default column bound for the inclusion-exclusion permanent.
 PERMANENT_COLUMN_LIMIT = 24
+
+# Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
+_RANK_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,45 @@ def determinant(matrix: IntegerMatrix) -> int:
 
 
 def rank(matrix: IntegerMatrix) -> int:
+    """Exact rank over the rationals.
+
+    The rank is first computed over GF(p), p = 2^61 - 1, by sparse row
+    elimination.  Reduction mod p can only lose rank, never create it, so
+    a full rank mod p, ``min(rows, cols)``, is the rank over Q.  A smaller
+    rank mod p may be an artefact of the prime, and the rank is then
+    recomputed exactly by fraction-free (Bareiss) elimination.
+    """
+    full = min(matrix.rows, matrix.cols)
+    if _rank_mod_p(matrix) == full:
+        return full
+    return _bareiss_rank(matrix)
+
+
+def _rank_mod_p(matrix: IntegerMatrix) -> int:
+    """Rank over GF(_RANK_PRIME): each sparse row is reduced into an echelon basis."""
+    p = _RANK_PRIME
+    # Leading column -> basis row as {column: value}, scaled to a leading 1.
+    basis: dict[int, dict[int, int]] = {}
+    for entries in matrix.entries:
+        row = {j: v % p for j, v in enumerate(entries) if v % p}
+        while row:
+            lead = min(row)
+            pivot = basis.get(lead)
+            if pivot is None:
+                inverse = pow(row[lead], -1, p)
+                basis[lead] = {j: v * inverse % p for j, v in row.items()}
+                break
+            factor = row[lead]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - factor * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(basis)
+
+
+def _bareiss_rank(matrix: IntegerMatrix) -> int:
     """Exact rank over the rationals via integer-preserving elimination."""
     a = [list(r) for r in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols

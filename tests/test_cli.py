@@ -107,6 +107,12 @@ class TestErrors:
         assert code == 2
         assert "degree" in json.loads(err)["error"]["message"]
 
+    def test_recursion_too_deep_exit_2(self, capsys):
+        code, out, err = run(capsys, "count", "--ideal", "x^32, y^32, z^64", "--degree", "64")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "RecursionError"
+
 
 class TestArtifacts:
     def test_region_json_and_svg(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from triregion import (
     NotArtinianError,
     biadjacency,
     build_region,
+    convenient_family,
     determinant,
     find_tiling,
     has_wlp,
@@ -109,6 +110,36 @@ class TestHasWlp:
                     for g in ideal.generators
                 )
                 assert has_wlp(permuted).verdict == base
+
+
+def degreewise_records(ideal, scanned_through):
+    return tuple(wlp_in_degree(ideal, d) for d in range(1, scanned_through + 1))
+
+
+def degrees_past_surjective(report):
+    first = next((r.d for r in report.records if r.rank == r.cols), report.scanned_through)
+    return report.scanned_through - first
+
+
+class TestRecordsPastSurjectivity:
+    """``has_wlp`` fills in the records after the first surjective degree
+    without computing ranks; they must equal the degreewise records."""
+
+    def test_corpus(self, corpus):
+        skipped = 0
+        for ideal, _ in corpus:
+            report = has_wlp(ideal)
+            assert report.records == degreewise_records(ideal, report.scanned_through)
+            skipped += degrees_past_surjective(report)
+        assert skipped >= 500
+
+    @pytest.mark.parametrize("t, d", [(4, 13), (4, 17), (8, 13), (8, 17)])
+    def test_convenient_family(self, t, d):
+        ideal = convenient_family(t, d)
+        report = has_wlp(ideal)
+        assert report.verdict
+        assert degrees_past_surjective(report) >= 10
+        assert report.records == degreewise_records(ideal, report.scanned_through)
 
 
 class TestDisjointPuncturesSquareIdeal:

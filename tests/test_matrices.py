@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triregion import (
     IntegerMatrix,
@@ -25,6 +27,20 @@ from conftest import (
     permutation_permanent,
     random_artinian_ideal,
 )
+
+
+#: Modulus of the rank certificate in ``triregion.matrices``.
+PRIME = (1 << 61) - 1
+
+
+@st.composite
+def matrices_near_prime(draw):
+    """Small integer matrices whose entries are a small value plus a multiple
+    of PRIME, so the matrix mod PRIME often loses rank it has over Q."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.builds(lambda small, k: small + k * PRIME, st.integers(-2, 2), st.integers(-1, 1))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    return IntegerMatrix(n, m, tuple(tuple(r) for r in rows))
 
 
 def random_matrix(rng: random.Random, n: int, m: int, lo=-4, hi=4) -> IntegerMatrix:
@@ -109,6 +125,17 @@ class TestRank:
         # duplicated rows and zero columns exercise pivot skipping
         M = IntegerMatrix.from_rows([[1, 0, 2], [1, 0, 2], [0, 0, 1]])
         assert rank(M) == 2
+
+    def test_rank_lost_mod_prime_is_recovered(self):
+        # each matrix has full rank over Q but not mod PRIME
+        assert rank(IntegerMatrix.from_rows([[PRIME]])) == 1
+        assert rank(IntegerMatrix.from_rows([[1, 1], [1, 1 + PRIME]])) == 2
+        assert rank(IntegerMatrix.from_rows([[PRIME, 0], [0, 2 * PRIME]])) == 2
+
+    @settings(derandomize=True, deadline=None)
+    @given(matrices_near_prime())
+    def test_against_fraction_oracle_near_prime(self, M):
+        assert rank(M) == fraction_rank(M)
 
 
 class TestPermanent:
