@@ -21,7 +21,7 @@ from .families import (
     example_family,
 )
 from .lefschetz import has_wlp
-from .matrices import biadjacency, determinant, permanent, rank
+from .matrices import biadjacency, determinant, matrix_json, permanent, rank
 from .monomials import IdealSyntaxError, parse_ideal
 from .regions import build_region, region_json, triangle_counts
 from .render import RenderOptions, region_svg, tiling_svg
@@ -96,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="bi-adjacency matrix of the side-d region")
     add_ideal(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-columns", type=int, default=24, help="permanent evaluation guard")
 
     return parser
 
@@ -194,20 +193,11 @@ def _run_command(args: argparse.Namespace) -> dict:
     if args.command == "matrix":
         ideal = parse_ideal(args.ideal)
         matrix = biadjacency(build_region(ideal, args.degree))
-        payload = {
-            "rows": matrix.rows,
-            "cols": matrix.cols,
-            "entries": [list(r) for r in matrix.entries],
-            "row_labels": [str(m) for m in matrix.row_labels],
-            "col_labels": [str(m) for m in matrix.col_labels],
-            "rank": rank(matrix),
-        }
+        payload = matrix_json(matrix)
+        payload["rank"] = rank(matrix)
         if matrix.is_square():
             payload["determinant"] = str(determinant(matrix))
-            try:
-                payload["permanent"] = str(permanent(matrix, max_cols=args.max_columns))
-            except ValueError:
-                payload["permanent"] = None
+            payload["permanent"] = str(permanent(matrix))
         return payload
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -3,10 +3,11 @@
 Everything is computed over the integers with Python's arbitrary-precision
 arithmetic; there is no floating point anywhere.  The determinant uses
 fraction-free elimination.  The rank is first computed modulo a large prime,
-which proves full rank when it finds it, and falls back to fraction-free
-elimination otherwise.  The permanent uses inclusion-exclusion with
-Gray-code subset updates, falling back to matching enumeration for large
-0/1 matrices.
+which proves full rank when it finds it, and falls back to the same
+fraction-free elimination otherwise.  The permanent of a 0/1 matrix is its
+number of perfect matchings, counted by the backtracking tiling counter;
+other matrices use Ryser's inclusion-exclusion with Gray-code subset
+updates.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 from .monomials import Monomial, VARIABLE_MONOMIALS
 from .regions import TriangularRegion
+from .tilings import _count_perfect_matchings
 
-#: Default column bound for the inclusion-exclusion permanent.
+#: Largest column count for Ryser's permanent, which takes 2^n steps.
 PERMANENT_COLUMN_LIMIT = 24
 
 # Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
@@ -88,38 +90,11 @@ def biadjacency(region: TriangularRegion) -> IntegerMatrix:
 
 
 def determinant(matrix: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination; 0x0 gives 1.
-
-    Pivots are chosen as the first nonzero entry in row order, so the result
-    is bit-reproducible.
-    """
+    """Exact determinant by fraction-free (Bareiss) elimination; 0x0 gives 1."""
     if not matrix.is_square():
         raise ValueError("determinant requires a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in matrix.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row_i[j] * pivot - head * row_k[j], prev)
-                if r:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = q
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    full_rank, signed_pivot = _bareiss(matrix)
+    return signed_pivot if full_rank == matrix.rows else 0
 
 
 def rank(matrix: IntegerMatrix) -> int:
@@ -134,7 +109,7 @@ def rank(matrix: IntegerMatrix) -> int:
     full = min(matrix.rows, matrix.cols)
     if _rank_mod_p(matrix) == full:
         return full
-    return _bareiss_rank(matrix)
+    return _bareiss(matrix)[0]
 
 
 def _rank_mod_p(matrix: IntegerMatrix) -> int:
@@ -161,12 +136,19 @@ def _rank_mod_p(matrix: IntegerMatrix) -> int:
     return len(basis)
 
 
-def _bareiss_rank(matrix: IntegerMatrix) -> int:
-    """Exact rank over the rationals via integer-preserving elimination."""
+def _bareiss(matrix: IntegerMatrix) -> tuple[int, int]:
+    """Rank over the rationals and the signed last pivot, by fraction-free
+    (Bareiss) elimination.
+
+    Each column's pivot is its first nonzero entry in row order, so the
+    result is bit-reproducible.  After k pivots the last one is a k x k
+    minor, so a square matrix of full rank ends on its determinant.
+    """
     a = [list(r) for r in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols
     r = 0
     prev = 1
+    sign = 1
     for col in range(ncols):
         if r >= nrows:
             break
@@ -175,6 +157,7 @@ def _bareiss_rank(matrix: IntegerMatrix) -> int:
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
         pivot = a[r][col]
         for i in range(r + 1, nrows):
             row_i, row_r = a[i], a[r]
@@ -187,7 +170,7 @@ def _bareiss_rank(matrix: IntegerMatrix) -> int:
             row_i[col] = 0
         prev = pivot
         r += 1
-    return r
+    return r, sign * prev
 
 
 def _ryser_permanent(rows: list[tuple[int, ...]]) -> int:
@@ -235,97 +218,41 @@ def _ryser_permanent(rows: list[tuple[int, ...]]) -> int:
     return total
 
 
-def _count_matchings(rows: list[tuple[int, ...]]) -> int:
-    """Perfect matchings of a 0/1 square matrix by fewest-candidates backtracking."""
-    n = len(rows)
-    candidates = [frozenset(j for j in range(n) if rows[i][j]) for i in range(n)]
-    used: set[int] = set()
-    remaining = set(range(n))
-
-    def rec() -> int:
-        if not remaining:
-            return 1
-        best_i, best = None, None
-        for i in remaining:
-            live = candidates[i] - used
-            if best is None or len(live) < len(best):
-                best_i, best = i, live
-                if len(live) <= 1:
-                    break
-        if not best:
-            return 0
-        remaining.discard(best_i)
-        total = 0
-        for j in sorted(best):
-            used.add(j)
-            total += rec()
-            used.discard(j)
-        remaining.add(best_i)
-        return total
-
-    return rec()
-
-
-def permanent(matrix: IntegerMatrix, max_cols: int = PERMANENT_COLUMN_LIMIT) -> int:
+def permanent(matrix: IntegerMatrix) -> int:
     """Exact permanent; 0x0 gives 1.
 
-    Rows and columns holding a single nonzero entry are peeled off first
-    (Laplace expansion along such a line has one term).  The remaining core
-    is evaluated by Ryser's formula when it has at most ``max_cols``
-    columns; a larger 0/1 core falls back to counting perfect matchings,
-    and a larger general core is rejected.
+    The permanent of a 0/1 matrix counts its perfect matchings (for a
+    bi-adjacency matrix, the region's tilings), and the tiling counter of
+    `triregion.tilings` finds them.  Any other matrix is evaluated by Ryser's
+    formula, in 2^n steps, and rejected above ``PERMANENT_COLUMN_LIMIT``
+    columns.
     """
     if not matrix.is_square():
         raise ValueError("permanent requires a square matrix")
     entries = matrix.entries
-    live_rows = set(range(matrix.rows))
-    live_cols = set(range(matrix.cols))
-    factor = 1
-    changed = True
-    while changed and live_rows:
-        changed = False
-        for i in list(live_rows):
-            nz = [(j, entries[i][j]) for j in live_cols if entries[i][j]]
-            if not nz:
-                return 0
-            if len(nz) == 1:
-                j, v = nz[0]
-                factor *= v
-                live_rows.discard(i)
-                live_cols.discard(j)
-                changed = True
-        for j in list(live_cols):
-            nz = [(i, entries[i][j]) for i in live_rows if entries[i][j]]
-            if not nz:
-                return 0
-            if len(nz) == 1:
-                i, v = nz[0]
-                factor *= v
-                live_rows.discard(i)
-                live_cols.discard(j)
-                changed = True
-    if not live_rows:
-        return factor
-    core = [
-        tuple(entries[i][j] for j in sorted(live_cols)) for i in sorted(live_rows)
-    ]
-    if len(core) <= max_cols:
-        return factor * _ryser_permanent(core)
-    if all(v in (0, 1) for row in core for v in row):
-        return factor * _count_matchings(core)
-    raise ValueError(
-        f"matrix core has {len(core)} columns, above the exact evaluation limit {max_cols}"
-    )
+    if all(v in (0, 1) for row in entries for v in row):
+        candidates = [frozenset(j for j, v in enumerate(row) if v) for row in entries]
+        return _count_perfect_matchings(candidates).count
+    if matrix.cols > PERMANENT_COLUMN_LIMIT:
+        raise ValueError(
+            f"matrix has {matrix.cols} columns, above the exact evaluation limit "
+            f"{PERMANENT_COLUMN_LIMIT} for entries other than 0 and 1"
+        )
+    return _ryser_permanent(list(entries))
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:
     """JSON-ready dump with labels; entries stay plain integers."""
+
+    def labels(monomials):
+        return None if monomials is None else [str(m) for m in monomials]
+
     return {
         "rows": matrix.rows,
         "cols": matrix.cols,
         "entries": [list(r) for r in matrix.entries],
-        "row_labels": [str(m) for m in matrix.row_labels] if matrix.row_labels else None,
-        "col_labels": [str(m) for m in matrix.col_labels] if matrix.col_labels else None,
+        "row_labels": labels(matrix.row_labels),
+        "col_labels": labels(matrix.col_labels),
     }
 
 

@@ -142,8 +142,8 @@ def relate_punctures(m1: Monomial, m2: Monomial, d: int) -> PunctureRelation:
     return PunctureRelation.DISJOINT
 
 
-def classify_floating(region: TriangularRegion) -> list[Puncture]:
-    """Punctures of the region with floating flags resolved.
+def puncture_list(region: TriangularRegion) -> list[Puncture]:
+    """One puncture per minimal generator of the region's ideal, flags included.
 
     Non-floating punctures form the least set containing every puncture with
     boundary contact (a zero exponent in its generator) and closed under
@@ -174,11 +174,6 @@ def classify_floating(region: TriangularRegion) -> list[Puncture]:
         )
         for g in gens
     ]
-
-
-def puncture_list(region: TriangularRegion) -> list[Puncture]:
-    """One puncture per minimal generator of the region's ideal, flags included."""
-    return classify_floating(region)
 
 
 def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegion:

@@ -114,56 +114,76 @@ def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
         raise ValueError("tiling does not cover the region exactly")
 
 
+def _count_perfect_matchings(
+    candidates: list[frozenset[int]], cap: int | None = None
+) -> TilingCount:
+    """Number of ways to match every row i to its own column in ``candidates[i]``.
+
+    The unmatched row with the fewest free candidates is matched first, and
+    a row with at most one is taken at once, which makes forced chains
+    linear.  Frames live on an explicit stack, so depth costs no recursion.
+    Once the count passes ``cap`` the search stops with ``(cap + 1, False)``.
+    """
+    remaining = set(range(len(candidates)))
+    used: set[int] = set()
+    # One frame per matched row: (row, its free columns, index of the one in use).
+    stack: list[tuple[int, tuple[int, ...], int]] = []
+    count = 0
+    while True:
+        if remaining:
+            best_row, best = -1, None
+            for i in remaining:
+                live = candidates[i] - used
+                if best is None or len(live) < len(best):
+                    best_row, best = i, live
+                    if len(live) <= 1:
+                        break
+            if best:
+                # Columns are tried in ascending order, for a region the x, y, z
+                # neighbour order; it fixes how soon a capped search ends.
+                columns = tuple(sorted(best))
+                remaining.discard(best_row)
+                used.add(columns[0])
+                stack.append((best_row, columns, 0))
+                continue
+        else:
+            count += 1
+            if cap is not None and count > cap:
+                return TilingCount(count, False)
+        # Dead end or complete matching: advance the deepest row that has
+        # another column left, releasing the exhausted rows above it.
+        while stack:
+            row, columns, k = stack.pop()
+            used.discard(columns[k])
+            if k + 1 < len(columns):
+                used.add(columns[k + 1])
+                stack.append((row, columns, k + 1))
+                break
+            remaining.add(row)
+        else:
+            return TilingCount(count, True)
+
+
 def enumerate_tilings(region: TriangularRegion, cap: int = ENUMERATION_CAP) -> TilingCount:
     """Exact number of tilings by backtracking with forced-move propagation.
 
-    The down label with the fewest live candidates is assigned first (ties
-    broken in descending revlex), which makes forced chains linear.  When
-    the count passes ``cap`` the search stops and the result is flagged as
-    a lower bound instead of silently truncating.
+    Each tiling is a perfect matching of down labels to adjacent up labels;
+    the down label with the fewest free neighbours is placed first, which
+    makes forced chains linear, and the search keeps its own stack, so no
+    region is too deep for it.  When the count passes ``cap`` the search
+    stops and the result is flagged as a lower bound instead of silently
+    truncating.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    downs = region.down_sorted()
-    if len(downs) != len(region.up_labels):
+    if len(region.down_labels) != len(region.up_labels):
         return TilingCount(0, True)
-    neighbors = _neighbor_map(region)
-    used: set[Monomial] = set()
-    remaining = set(downs)
-    count = 0
-    exceeded = False
-
-    def rec() -> None:
-        nonlocal count, exceeded
-        if exceeded:
-            return
-        if not remaining:
-            count += 1
-            if count > cap:
-                exceeded = True
-            return
-        best_mu, best = None, None
-        for mu in downs:
-            if mu not in remaining:
-                continue
-            live = [nu for nu in neighbors[mu] if nu not in used]
-            if best is None or len(live) < len(best):
-                best_mu, best = mu, live
-                if len(live) <= 1:
-                    break
-        if not best:
-            return
-        remaining.discard(best_mu)
-        for nu in best:
-            used.add(nu)
-            rec()
-            used.discard(nu)
-            if exceeded:
-                break
-        remaining.add(best_mu)
-
-    rec()
-    return TilingCount(count, not exceeded)
+    up_index = {nu: k for k, nu in enumerate(region.up_sorted())}
+    candidates = [
+        frozenset(up_index[nu] for nu in neighbors)
+        for neighbors in _neighbor_map(region).values()
+    ]
+    return _count_perfect_matchings(candidates, cap)
 
 
 def is_tileable_structural(region: TriangularRegion) -> StructuralTileability:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from triregion import cli
 from triregion.cli import main
 
 
@@ -107,8 +108,18 @@ class TestErrors:
         assert code == 2
         assert "degree" in json.loads(err)["error"]["message"]
 
-    def test_recursion_too_deep_exit_2(self, capsys):
-        code, out, err = run(capsys, "count", "--ideal", "x^32, y^32, z^64", "--degree", "64")
+    def test_recursion_too_deep_exit_2(self, capsys, monkeypatch):
+        # the d = 64 parallelogram is one forced chain, deeper than the recursion limit
+        code, out, _ = run(capsys, "count", "--ideal", "x^32, y^32, z^64", "--degree", "64")
+        assert code == 0
+        assert json.loads(out) == {"count": "1", "exact": True}
+
+        # find_tiling still augments recursively, so the exit-2 mapping stays
+        def too_deep(region):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "find_tiling", too_deep)
+        code, out, err = run(capsys, "tile", "--ideal", "x^2, y^2, z^2", "--degree", "3")
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "RecursionError"

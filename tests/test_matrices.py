@@ -20,6 +20,7 @@ from triregion import (
     permanent,
     rank,
 )
+from triregion.matrices import _ryser_permanent
 from conftest import (
     fraction_determinant,
     fraction_rank,
@@ -41,6 +42,14 @@ def matrices_near_prime(draw):
     entry = st.builds(lambda small, k: small + k * PRIME, st.integers(-2, 2), st.integers(-1, 1))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
     return IntegerMatrix(n, m, tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """Square 0/1 matrices of order at most 7."""
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    return IntegerMatrix(n, n, tuple(tuple(r) for r in rows))
 
 
 def random_matrix(rng: random.Random, n: int, m: int, lo=-4, hi=4) -> IntegerMatrix:
@@ -158,19 +167,17 @@ class TestPermanent:
             M = random_matrix(rng, n, n, lo=-2, hi=3)
             assert permanent(M) == permutation_permanent(M)
 
-    def test_fallback_matches_ryser(self):
-        # force a tiny column limit so the 0/1 fallback runs, and compare
-        rng = random.Random(79)
-        for _ in range(30):
-            n = rng.randint(2, 7)
-            M = random_matrix(rng, n, n, lo=0, hi=1)
-            assert permanent(M, max_cols=1) == permanent(M)
+    @settings(derandomize=True, deadline=None)
+    @given(zero_one_matrices())
+    def test_fallback_matches_ryser(self, M):
+        # a 0/1 matrix is counted by matching, which both oracles must confirm
+        assert permanent(M) == _ryser_permanent(list(M.entries)) == permutation_permanent(M)
 
     def test_over_limit_without_fallback_rejected(self):
         rng = random.Random(83)
-        M = random_matrix(rng, 6, 6, lo=2, hi=5)
+        M = random_matrix(rng, 25, 25, lo=2, hi=5)
         with pytest.raises(ValueError, match="limit"):
-            permanent(M, max_cols=3)
+            permanent(M)
 
     def test_determinant_bounded_by_permanent(self):
         rng = random.Random(89)
@@ -187,6 +194,14 @@ class TestSerialization:
         assert payload["rows"] == 3
         assert payload["row_labels"] == ["x", "y", "z"]
         assert payload["entries"][0] == [1, 1, 0]
+
+    def test_json_keeps_empty_labels(self):
+        # the d = 1 region of x^2, y^2, z^2 has no down labels and one up label
+        Z = biadjacency(build_region(parse_ideal("x^2, y^2, z^2"), 1))
+        payload = matrix_json(Z)
+        assert (payload["rows"], payload["cols"]) == (0, 1)
+        assert payload["row_labels"] == []
+        assert payload["col_labels"] == ["1"]
 
     def test_grid(self):
         assert matrix_grid(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == "1 0\n0 1"

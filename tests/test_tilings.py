@@ -90,6 +90,11 @@ class TestEnumerate:
     def test_empty_region_one_tiling(self):
         assert enumerate_tilings(build_region(parse_ideal("1"), 4)) == (1, True)
 
+    def test_deep_forced_chain_without_recursion(self):
+        # the d = 64 parallelogram: one tiling, a forced chain of 1024 placements
+        region = build_region(parse_ideal("x^32, y^32, z^64"), 64)
+        assert enumerate_tilings(region) == (1, True)
+
     def test_box_formula_oracle(self):
         # corner punctures of sides (a, b, c) with a+b+c = d leave a hexagon
         cases = [((2, 2, 2), 6), ((2, 2, 3), 7), ((1, 2, 3), 6), ((1, 1, 4), 6)]
