@@ -22,7 +22,7 @@ from .families import (
 )
 from .lefschetz import has_wlp
 from .matrices import biadjacency, determinant, matrix_json, permanent, rank
-from .monomials import IdealSyntaxError, parse_ideal
+from .monomials import IdealSyntaxError, _check_degree, parse_ideal
 from .regions import build_region, region_json, triangle_counts
 from .render import RenderOptions, region_svg, tiling_svg
 from .stability import criterion_check, decide_semistability
@@ -112,6 +112,7 @@ def _run_command(args: argparse.Namespace) -> dict:
         ideal = parse_ideal(args.ideal)
         if args.max_degree < 0:
             raise ValueError("--max-degree must be nonnegative")
+        _check_degree(args.max_degree)
         return {
             "ideal": str(ideal),
             "values": [

@@ -6,10 +6,11 @@ map by x+y+z degree by degree.  No generic linear form search is needed:
 for monomial ideals in characteristic zero this single choice is complete.
 
 Ranks come from ``matrices.rank``: full rank modulo the prime 2^61 - 1
-proves full rank over Q, and anything less is recomputed by exact
-elimination, so every verdict is exact.  Once the map by x+y+z is onto some
-degree it is onto every later degree, so ``has_wlp`` computes no rank past
-the first surjective degree.
+proves full rank over Q, and anything less is recomputed modulo a prime
+above Hadamard's bound, where the rank mod p is the rank over Q, so every
+verdict is exact.  Once the map by x+y+z is onto some degree it is onto
+every later degree, so ``has_wlp`` computes no rank past the first
+surjective degree.
 """
 
 from __future__ import annotations

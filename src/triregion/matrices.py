@@ -1,13 +1,14 @@
 """Bi-adjacency matrices and exact integer linear algebra.
 
 Everything is computed over the integers with Python's arbitrary-precision
-arithmetic; there is no floating point anywhere.  The determinant uses
-fraction-free elimination.  The rank is first computed modulo a large prime,
-which proves full rank when it finds it, and falls back to the same
-fraction-free elimination otherwise.  The permanent of a 0/1 matrix is its
-number of perfect matchings, counted by the backtracking tiling counter;
-other matrices use Ryser's inclusion-exclusion with Gray-code subset
-updates.
+arithmetic; there is no floating point anywhere.  Rank and determinant come
+from one sparse row elimination over GF(p).  Modulo a prime above Hadamard's
+bound no minor vanishes that is nonzero over Q, so the rank mod p is exact
+and the determinant is its symmetric residue.  The rank is first computed
+modulo 2^61 - 1, which proves full rank when it finds it.  The permanent
+of a 0/1 matrix is its number of perfect matchings, counted by the
+backtracking tiling counter; other matrices use Ryser's inclusion-exclusion
+with Gray-code subset updates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ PERMANENT_COLUMN_LIMIT = 24
 
 # Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
 _RANK_PRIME = (1 << 61) - 1
+
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on.  The last one
+# is exact for every bi-adjacency matrix within ``DEGREE_CAP``: 130,816 rows
+# of at most three ones give Hadamard's bound 3^130816, which needs e >= 103,672.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
+)
 
 
 @dataclass(frozen=True)
@@ -62,12 +71,6 @@ class IntegerMatrix:
         return self.rows == self.cols
 
 
-def identity_matrix(n: int) -> IntegerMatrix:
-    return IntegerMatrix(
-        n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    )
-
-
 def biadjacency(region: TriangularRegion) -> IntegerMatrix:
     """0/1 matrix of down-label/up-label adjacency, both sides in descending revlex.
 
@@ -90,39 +93,62 @@ def biadjacency(region: TriangularRegion) -> IntegerMatrix:
 
 
 def determinant(matrix: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination; 0x0 gives 1."""
+    """Exact determinant by elimination modulo ``_exact_prime``; 0x0 gives 1."""
     if not matrix.is_square():
         raise ValueError("determinant requires a square matrix")
-    full_rank, signed_pivot = _bareiss(matrix)
-    return signed_pivot if full_rank == matrix.rows else 0
+    p = _exact_prime(matrix)
+    residue = _eliminate(matrix, p)[1]
+    return residue - p if residue > p // 2 else residue
 
 
 def rank(matrix: IntegerMatrix) -> int:
     """Exact rank over the rationals.
 
-    The rank is first computed over GF(p), p = 2^61 - 1, by sparse row
-    elimination.  Reduction mod p can only lose rank, never create it, so
-    a full rank mod p, ``min(rows, cols)``, is the rank over Q.  A smaller
-    rank mod p may be an artefact of the prime, and the rank is then
-    recomputed exactly by fraction-free (Bareiss) elimination.
+    Reduction mod p never creates rank, so full rank modulo 2^61 - 1 is the
+    rank over Q.  A smaller rank is recomputed modulo the ``_exact_prime``
+    of the matrix when that prime is wider.
     """
     full = min(matrix.rows, matrix.cols)
-    if _rank_mod_p(matrix) == full:
-        return full
-    return _bareiss(matrix)[0]
+    found = _eliminate(matrix, _RANK_PRIME)[0]
+    if found == full:
+        return found
+    p = _exact_prime(matrix)
+    return found if p == _RANK_PRIME else _eliminate(matrix, p)[0]
 
 
-def _rank_mod_p(matrix: IntegerMatrix) -> int:
-    """Rank over GF(_RANK_PRIME): each sparse row is reduced into an echelon basis."""
-    p = _RANK_PRIME
-    # Leading column -> basis row as {column: value}, scaled to a leading 1.
+def _exact_prime(matrix: IntegerMatrix) -> int:
+    """The least Mersenne prime p = 2^e - 1 with 2^(2e-2) > 4B, where B is
+    Hadamard's bound on the square of every minor.  Every minor lies strictly
+    between -p/2 and p/2, so mod p it vanishes only when it is 0, and the
+    symmetric residue of the determinant is the determinant."""
+    bound = 1
+    for entries in matrix.entries:
+        bound *= max(1, sum(v * v for v in entries))
+    for e in _MERSENNE_EXPONENTS:
+        if 1 << (2 * e - 2) > 4 * bound:
+            return (1 << e) - 1
+    raise ValueError("matrix entries are too large: Hadamard's bound passes the prime table")
+
+
+def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
+    """Rank over GF(p) and the determinant mod p, which is 0 unless the
+    matrix is square and of full rank.
+
+    Each row is reduced, as a sparse ``{column: value}`` dict, into an
+    echelon basis.  Reducing only subtracts earlier rows, so the determinant
+    is the product of the pivots times the sign of the permutation that
+    sends each row to its leading column.
+    """
+    # Leading column -> basis row, scaled to a leading 1; keys in row order.
     basis: dict[int, dict[int, int]] = {}
+    det = 1
     for entries in matrix.entries:
         row = {j: v % p for j, v in enumerate(entries) if v % p}
         while row:
             lead = min(row)
             pivot = basis.get(lead)
             if pivot is None:
+                det = det * row[lead] % p
                 inverse = pow(row[lead], -1, p)
                 basis[lead] = {j: v * inverse % p for j, v in row.items()}
                 break
@@ -133,44 +159,16 @@ def _rank_mod_p(matrix: IntegerMatrix) -> int:
                     row[j] = w
                 else:
                     del row[j]
-    return len(basis)
-
-
-def _bareiss(matrix: IntegerMatrix) -> tuple[int, int]:
-    """Rank over the rationals and the signed last pivot, by fraction-free
-    (Bareiss) elimination.
-
-    Each column's pivot is its first nonzero entry in row order, so the
-    result is bit-reproducible.  After k pivots the last one is a k x k
-    minor, so a square matrix of full rank ends on its determinant.
-    """
-    a = [list(r) for r in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    r = 0
-    prev = 1
-    sign = 1
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            sign = -sign
-        pivot = a[r][col]
-        for i in range(r + 1, nrows):
-            row_i, row_r = a[i], a[r]
-            head = row_i[col]
-            for j in range(col + 1, ncols):
-                q, rem = divmod(row_i[j] * pivot - head * row_r[j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = q
-            row_i[col] = 0
-        prev = pivot
-        r += 1
-    return r, sign * prev
+    found = len(basis)
+    if found != matrix.rows or found != matrix.cols:
+        return found, 0
+    leads = list(basis)
+    for i in range(found):
+        while leads[i] != i:
+            k = leads[i]
+            leads[i], leads[k] = leads[k], leads[i]
+            det = -det
+    return found, det % p
 
 
 def _ryser_permanent(rows: list[tuple[int, ...]]) -> int:
@@ -254,8 +252,3 @@ def matrix_json(matrix: IntegerMatrix) -> dict:
         "row_labels": labels(matrix.row_labels),
         "col_labels": labels(matrix.col_labels),
     }
-
-
-def matrix_grid(matrix: IntegerMatrix) -> str:
-    """Plain-text grid of the entries, for debugging."""
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix.entries)

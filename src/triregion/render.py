@@ -34,8 +34,8 @@ class RenderOptions:
     mark_floating: bool = False
 
     def __post_init__(self):
-        if self.unit <= 0:
-            raise ValueError("unit must be positive")
+        if not (math.isfinite(self.unit) and self.unit > 0):
+            raise ValueError("unit must be positive and finite")
 
 
 def _fmt(v: float) -> str:

@@ -108,6 +108,25 @@ def fraction_determinant(matrix: IntegerMatrix) -> Fraction:
     return det
 
 
+def macmahon(a: int, b: int, c: int) -> int:
+    """Lozenge tilings of the a, b, c, a, b, c hexagon by MacMahon's box
+    formula: the product of (c+i+j-1)/(i+j-1) over 1 <= i <= a, 1 <= j <= b."""
+    total = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            total *= Fraction(c + i + j - 1, i + j - 1)
+    assert total.denominator == 1
+    return int(total)
+
+
+def hexagon(a: int, b: int, c: int) -> tuple[MonomialIdeal, int]:
+    """Ideal and side d = a+b+c whose region is the a, b, c, a, b, c hexagon:
+    corner punctures of sides a, b and c."""
+    d = a + b + c
+    corners = [Monomial(d - a, 0, 0), Monomial(0, d - b, 0), Monomial(0, 0, d - c)]
+    return MonomialIdeal.from_generators(corners), d
+
+
 def permutation_permanent(matrix: IntegerMatrix) -> int:
     """Permanent by full permutation expansion; only for tiny matrices."""
     n = matrix.rows

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from triregion import cli
 from triregion.cli import main
 
@@ -97,6 +99,40 @@ class TestErrors:
         )
         assert code == 2
         assert "no tiling" in json.loads(err)["error"]["message"]
+
+    def test_hilbert_degree_cap_checked_first(self, capsys, monkeypatch):
+        import triregion.monomials
+
+        computed = []
+        hilbert_function = triregion.monomials.MonomialIdeal.hilbert_function
+
+        def recording(ideal, j):
+            computed.append(j)
+            return hilbert_function(ideal, j)
+
+        monkeypatch.setattr(triregion.monomials, "DEGREE_CAP", 20)
+        monkeypatch.setattr(triregion.monomials.MonomialIdeal, "hilbert_function", recording)
+        code, out, err = run(capsys, "hilbert", "--ideal", "x^2,y^2,z^2", "--max-degree", "21")
+        assert code == 2
+        assert out == ""
+        assert "cap" in json.loads(err)["error"]["message"]
+        assert computed == []
+
+    @pytest.mark.parametrize("unit", ["nan", "inf", "-inf", "0"])
+    def test_render_unit_must_be_finite_positive(self, capsys, tmp_path, unit):
+        target = tmp_path / "never.svg"
+        code, out, err = run(
+            capsys,
+            "render",
+            "--ideal", "x^2, y^2, z^2",
+            "--degree", "3",
+            "--out", str(target),
+            f"--unit={unit}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unit" in json.loads(err)["error"]["message"]
+        assert not target.exists()
 
     def test_precondition_degree(self, capsys):
         code, _, err = run(

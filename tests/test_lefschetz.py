@@ -22,6 +22,7 @@ from triregion import (
     truncate,
     wlp_in_degree,
 )
+from triregion.matrices import _exact_prime
 from conftest import fraction_rank, random_artinian_ideal
 
 
@@ -63,6 +64,15 @@ class TestHasWlp:
         report = has_wlp(parse_ideal("x^3, y^3, z^3, xyz"))
         assert not report.verdict
         assert report.failing_degree == 4
+
+    def test_wide_prime_failing_degree(self):
+        # the singular 486 x 486 degree-36 map needs the 2^521 - 1 rank pass
+        ideal = parse_ideal("x^27, y^27, z^27, x^9y^9z^9")
+        report = has_wlp(ideal)
+        assert report.failing_degree == 36
+        record = report.records[-1]
+        assert (record.d, record.rows, record.cols, record.rank) == (36, 486, 486, 485)
+        assert _exact_prime(biadjacency(build_region(ideal, 36))) == (1 << 521) - 1
 
     def test_short_circuit_keeps_records(self):
         report = has_wlp(parse_ideal("x^6, y^7, z^8, xy^5z, xy^2z^3, x^3y^2z"))

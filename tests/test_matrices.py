@@ -13,17 +13,17 @@ from triregion import (
     biadjacency,
     build_region,
     determinant,
-    identity_matrix,
-    matrix_grid,
     matrix_json,
     parse_ideal,
     permanent,
     rank,
 )
-from triregion.matrices import _ryser_permanent
+from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime, _ryser_permanent
 from conftest import (
     fraction_determinant,
     fraction_rank,
+    hexagon,
+    macmahon,
     multiplication_matrix,
     permutation_permanent,
     random_artinian_ideal,
@@ -35,10 +35,11 @@ PRIME = (1 << 61) - 1
 
 
 @st.composite
-def matrices_near_prime(draw):
+def matrices_near_prime(draw, square=False):
     """Small integer matrices whose entries are a small value plus a multiple
     of PRIME, so the matrix mod PRIME often loses rank it has over Q."""
-    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    m = n if square else draw(st.integers(0, 5))
     entry = st.builds(lambda small, k: small + k * PRIME, st.integers(-2, 2), st.integers(-1, 1))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
     return IntegerMatrix(n, m, tuple(tuple(r) for r in rows))
@@ -94,7 +95,8 @@ class TestDeterminant:
         assert determinant(Z) == -2
 
     def test_identity(self):
-        assert determinant(identity_matrix(5)) == 1
+        identity = IntegerMatrix.from_rows([[int(i == j) for j in range(5)] for i in range(5)])
+        assert determinant(identity) == 1
 
     def test_non_tileable_region_singular(self):
         Z = biadjacency(
@@ -112,6 +114,53 @@ class TestDeterminant:
             n = rng.randint(0, 8)
             M = random_matrix(rng, n, n)
             assert determinant(M) == fraction_determinant(M)
+
+    @settings(derandomize=True, deadline=None)
+    @given(matrices_near_prime(square=True))
+    def test_against_fraction_oracle_near_prime(self, M):
+        assert determinant(M) == fraction_determinant(M)
+
+    def test_huge_entries(self):
+        # entries near 2^200 put Hadamard's bound past 2^1200
+        rng = random.Random(97)
+        for _ in range(12):
+            n = rng.randint(3, 5)
+            rows = [[(1 << 200) + rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                rows[-1] = rows[0]
+            M = IntegerMatrix.from_rows(rows)
+            assert _exact_prime(M) >= (1 << 607) - 1
+            assert determinant(M) == fraction_determinant(M)
+            assert rank(M) == fraction_rank(M)
+
+    def test_macmahon_hexagons(self):
+        # |det| of a hexagon's bi-adjacency matrix counts its tilings
+        for a in range(1, 8):
+            for b in range(1, 8):
+                for c in range(1, 8):
+                    ideal, d = hexagon(a, b, c)
+                    Z = biadjacency(build_region(ideal, d))
+                    assert abs(determinant(Z)) == macmahon(a, b, c)
+
+    def test_beyond_prime_table_rejected(self):
+        M = IntegerMatrix.from_rows([[1 << _MERSENNE_EXPONENTS[-1]]])
+        with pytest.raises(ValueError, match="too large"):
+            determinant(M)
+
+
+class TestExactPrime:
+    def test_table_is_mersenne_exponents(self):
+        from sympy.ntheory import mersenne_prime_exponent
+
+        # 2^61 - 1 is the ninth Mersenne prime
+        assert _MERSENNE_EXPONENTS == tuple(
+            mersenne_prime_exponent(n) for n in range(9, 9 + len(_MERSENNE_EXPONENTS))
+        )
+
+    def test_least_prime_above_bound(self):
+        assert _exact_prime(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == PRIME
+        # Hadamard's bound PRIME^2 needs p > 2 * PRIME
+        assert _exact_prime(IntegerMatrix.from_rows([[PRIME]])) == (1 << 89) - 1
 
 
 class TestRank:
@@ -145,6 +194,14 @@ class TestRank:
     @given(matrices_near_prime())
     def test_against_fraction_oracle_near_prime(self, M):
         assert rank(M) == fraction_rank(M)
+
+    def test_failing_wlp_degree(self):
+        # degree 4k of x^3k, y^3k, z^3k, x^k y^k z^k is singular; at k = 5 its
+        # rank is recomputed modulo 2^127 - 1
+        Z = biadjacency(build_region(parse_ideal("x^15, y^15, z^15, x^5y^5z^5"), 20))
+        assert (Z.rows, Z.cols) == (150, 150)
+        assert _exact_prime(Z) == (1 << 127) - 1
+        assert rank(Z) == fraction_rank(Z) == 149
 
 
 class TestPermanent:
@@ -202,9 +259,6 @@ class TestSerialization:
         assert (payload["rows"], payload["cols"]) == (0, 1)
         assert payload["row_labels"] == []
         assert payload["col_labels"] == ["1"]
-
-    def test_grid(self):
-        assert matrix_grid(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == "1 0\n0 1"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

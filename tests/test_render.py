@@ -57,8 +57,9 @@ class TestRegionSvg:
         assert "stroke-dasharray" not in plain
 
     def test_options_validated(self):
-        with pytest.raises(ValueError):
-            RenderOptions(unit=0)
+        for unit in (0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                RenderOptions(unit=unit)
 
 
 class TestEmbedding:
