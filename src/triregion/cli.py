@@ -1,10 +1,10 @@
 """Command-line interface: one subcommand per capability, JSON or text output.
 
 Exit codes: 0 success, 1 usage or ideal-syntax errors, 2 precondition
-violations or inputs too deep for a recursive algorithm (``RecursionError``),
-with a machine-readable error object on stderr.  Output is fully
-deterministic; big integers are serialized as decimal strings so downstream
-JSON consumers cannot lose precision.
+violations (``ValueError``), with a machine-readable error object on
+stderr.  No algorithm behind a command recurses, so no input is too deep.
+Output is fully deterministic; big integers are serialized as decimal
+strings so downstream JSON consumers cannot lose precision.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": {"type": "syntax", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         json.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr
         )

@@ -5,6 +5,15 @@ A region of side d holds the degree d-1 (upward triangle) and degree d-2
 balance, monomial subregions and the over-puncturing coefficient are all
 derived from those label sets by divisibility arithmetic; geometry enters
 only in the SVG renderer.
+
+Labels are never compared pair by pair.  For each label degree D a count
+table N[j][c][b] holds how many labels are divisible by x^(j-b-c) y^b z^c,
+for every j <= D.  It is filled from degree D down by inclusion-exclusion,
+N(m) = N(mx) + N(my) + N(mz) - N(mxy) - N(mxz) - N(myz) + N(mxyz), so it
+costs O(1) per monomial and O(d^3) per region, and it lives only for the
+call that builds it.  The region's ideal (and with it the punctures and
+the over-puncturing coefficient) and the structural tileability scan in
+``tilings`` read it.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _check_degree,
-    monomials_of_degree,
     revlex_key,
 )
 
@@ -104,28 +112,64 @@ def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:
     return down, up, cls
 
 
+def _divisor_counts(labels: frozenset[Monomial], degree: int) -> list[list[list[int]]]:
+    """Count table of degree-``degree`` labels: ``N[j][c][b]`` is the number
+    of labels divisible by x^(j-b-c) y^b z^c, for 0 <= j <= degree.
+
+    The top layer marks the labels themselves; every lower layer follows
+    from the three above it by inclusion-exclusion over x, y and z.
+    """
+    if degree < 0:
+        return []
+    zero = [[0] * (degree + 3)] * (degree + 3)
+    table = [zero, zero, [[0] * (degree - c + 1) for c in range(degree + 1)]]
+    for m in labels:
+        table[2][m.c][m.b] = 1
+    for j in range(degree - 1, -1, -1):
+        n3, n2, n1 = table[-3:]
+        layer = []
+        for c in range(j + 1):
+            # N(mx), N(my) from n1[c]; N(mz) from n1[c + 1]; N(mxy) from
+            # n2[c]; N(mxz), N(myz) from n2[c + 1]; N(mxyz) from n3[c + 1].
+            x1, z1, y2, z2, z3 = n1[c], n1[c + 1], n2[c], n2[c + 1], n3[c + 1]
+            layer.append([
+                x1[b] + x1[b + 1] + z1[b] - y2[b + 1] - z2[b] - z2[b + 1] + z3[b + 1]
+                for b in range(j - c + 1)
+            ])
+        table.append(layer)
+    return table[:1:-1]
+
+
 def monomial_ideal_of_region(region: TriangularRegion) -> MonomialIdeal:
     """The largest ideal with generators of degree < d cutting out exactly this region.
 
     A monomial qualifies as a generator candidate exactly when it divides no
-    surviving label, i.e. all its multiples in degrees d-2 and d-1 are gone;
-    the minimal candidates are collected degree by degree.
+    surviving label, i.e. its up and down counts are both 0.  Candidates are
+    closed under multiplication, so a candidate is a minimal generator
+    exactly when each m/v (v a variable dividing m) divides some label.
     """
-    divisors: set[tuple[int, int, int]] = set()
-    for label in region.up_labels | region.down_labels:
-        for a in range(label.a + 1):
-            for b in range(label.b + 1):
-                for c in range(label.c + 1):
-                    divisors.add((a, b, c))
+    d = region.d
+    up = _divisor_counts(region.up_labels, d - 1)
+    down = _divisor_counts(region.down_labels, d - 2)
+
+    def divides_a_label(j: int, c: int, b: int) -> bool:
+        return up[j][c][b] > 0 or (j <= d - 2 and down[j][c][b] > 0)
+
     gens: list[Monomial] = []
-    for j in range(region.d):
-        for m in monomials_of_degree(j):
-            if m.exponents() in divisors:
-                continue
-            if any(g.divides(m) for g in gens):
-                continue
-            gens.append(m)
-    return MonomialIdeal.from_generators(gens)
+    for j in range(d):
+        for c in range(j + 1):
+            for b in range(j - c + 1):
+                a = j - b - c
+                if divides_a_label(j, c, b):
+                    continue
+                if (
+                    (a and not divides_a_label(j - 1, c, b))
+                    or (b and not divides_a_label(j - 1, c, b - 1))
+                    or (c and not divides_a_label(j - 1, c - 1, b))
+                ):
+                    continue
+                gens.append(Monomial(a, b, c))
+    return MonomialIdeal(tuple(sorted(gens, key=revlex_key)))
 
 
 def relate_punctures(m1: Monomial, m2: Monomial, d: int) -> PunctureRelation:

@@ -16,8 +16,9 @@ from .monomials import Monomial, VARIABLE_MONOMIALS, monomials_of_degree, revlex
 from .regions import (
     Balance,
     TriangularRegion,
-    monomial_subregion,
-    overpuncturing,
+    _divisor_counts,
+    monomial_ideal_of_region,
+    overpuncturing_ideal,
     triangle_counts,
 )
 
@@ -68,40 +69,60 @@ class StructuralTileability:
     heavy_witness: Monomial | None
 
 
-def _neighbor_map(region: TriangularRegion) -> dict[Monomial, tuple[Monomial, ...]]:
-    ups = region.up_labels
-    return {
-        mu: tuple(mu * v for v in VARIABLE_MONOMIALS if mu * v in ups)
-        for mu in region.down_sorted()
-    }
+def _adjacency(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial], list[tuple[int, ...]]]:
+    """Down and up labels in descending revlex order, and for each down label
+    the indices of its up neighbours in x, y, z order (ascending index)."""
+    downs, ups = region.down_sorted(), region.up_sorted()
+    up_index = {m.exponents(): k for k, m in enumerate(ups)}
+    neighbors = []
+    for mu in downs:
+        a, b, c = mu.a, mu.b, mu.c
+        near = (up_index.get((a + 1, b, c)), up_index.get((a, b + 1, c)), up_index.get((a, b, c + 1)))
+        neighbors.append(tuple(k for k in near if k is not None))
+    return downs, ups, neighbors
 
 
 def find_tiling(region: TriangularRegion) -> Tiling | None:
     """A lozenge tiling if one exists, via augmenting-path maximum matching.
 
     Deterministic: down labels are processed in descending revlex order and
-    neighbors in x, y, z order.  The empty region yields the empty tiling.
+    neighbors in x, y, z order, depth first.  The path search keeps its own
+    stack, so no region is too deep for it.  The empty region yields the
+    empty tiling.
     """
-    downs = region.down_sorted()
-    if len(downs) != len(region.up_labels):
+    if len(region.down_labels) != len(region.up_labels):
         return None
-    neighbors = _neighbor_map(region)
-    matched_up: dict[Monomial, Monomial] = {}
-
-    def augment(mu: Monomial, seen: set[Monomial]) -> bool:
-        for nu in neighbors[mu]:
-            if nu in seen:
+    downs, ups, neighbors = _adjacency(region)
+    matched_up = [-1] * len(ups)
+    # Up labels in the order they were first matched, which fixes the
+    # lozenge set's insertion order.
+    first_matched: list[int] = []
+    for root in range(len(downs)):
+        seen: set[int] = set()
+        # path[i] is a down label on the search path; tried[i] counts the
+        # neighbours it has tried, the last of them leading to path[i + 1].
+        path, tried = [root], [0]
+        while path:
+            options, k = neighbors[path[-1]], tried[-1]
+            while k < len(options) and options[k] in seen:
+                k += 1
+            if k == len(options):
+                path.pop()
+                tried.pop()
                 continue
+            nu = options[k]
             seen.add(nu)
-            if nu not in matched_up or augment(matched_up[nu], seen):
-                matched_up[nu] = mu
-                return True
-        return False
-
-    for mu in downs:
-        if not augment(mu, set()):
+            tried[-1] = k + 1
+            if matched_up[nu] < 0:
+                first_matched.append(nu)
+                for step, count in zip(path, tried):
+                    matched_up[neighbors[step][count - 1]] = step
+                break
+            path.append(matched_up[nu])
+            tried.append(0)
+        else:
             return None
-    return Tiling(frozenset(Lozenge(mu, nu) for nu, mu in matched_up.items()))
+    return Tiling(frozenset(Lozenge(downs[matched_up[nu]], ups[nu]) for nu in first_matched))
 
 
 def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
@@ -178,12 +199,8 @@ def enumerate_tilings(region: TriangularRegion, cap: int = ENUMERATION_CAP) -> T
         raise ValueError("cap must be positive")
     if len(region.down_labels) != len(region.up_labels):
         return TilingCount(0, True)
-    up_index = {nu: k for k, nu in enumerate(region.up_sorted())}
-    candidates = [
-        frozenset(up_index[nu] for nu in neighbors)
-        for neighbors in _neighbor_map(region).values()
-    ]
-    return _count_perfect_matchings(candidates, cap)
+    _, _, neighbors = _adjacency(region)
+    return _count_perfect_matchings([frozenset(n) for n in neighbors], cap)
 
 
 def is_tileable_structural(region: TriangularRegion) -> StructuralTileability:
@@ -192,17 +209,19 @@ def is_tileable_structural(region: TriangularRegion) -> StructuralTileability:
     An unbalanced region fails immediately; otherwise every monomial of
     degree at most d-2 is scanned (ascending degree, descending revlex
     within a degree) and the first whose subregion holds more down than up
-    triangles is returned as witness.
+    triangles is returned as witness.  The subregion counts are read from
+    the down and up label count tables, so the scan is O(d^3).
     """
     _, _, balance = triangle_counts(region)
     if balance is not Balance.BALANCED:
         return StructuralTileability(False, True, None)
+    down = _divisor_counts(region.down_labels, region.d - 2)
+    up = _divisor_counts(region.up_labels, region.d - 1)
     for j in range(region.d - 1):
-        for m in monomials_of_degree(j):
-            down_n = sum(1 for l in region.down_labels if m.divides(l))
-            up_n = sum(1 for l in region.up_labels if m.divides(l))
-            if down_n > up_n:
-                return StructuralTileability(False, False, m)
+        for c, (down_row, up_row) in enumerate(zip(down[j], up[j])):
+            for b, (down_n, up_n) in enumerate(zip(down_row, up_row)):
+                if down_n > up_n:
+                    return StructuralTileability(False, False, Monomial(j - b - c, b, c))
     return StructuralTileability(True, False, None)
 
 
@@ -221,16 +240,27 @@ class TwoOfThreeReport:
 
 
 def two_of_three(region: TriangularRegion) -> TwoOfThreeReport:
-    """Evaluate perfect puncturing, subregion puncturing, and tileability together."""
-    perfectly = overpuncturing(region) == 0
-    witness = None
-    for j in range(region.d):
-        for m in monomials_of_degree(j):
-            if overpuncturing(monomial_subregion(region, m)) > 0:
-                witness = m
-                break
-        if witness is not None:
-            break
+    """Evaluate perfect puncturing, subregion puncturing, and tileability together.
+
+    The witness is the first monomial m of degree < d (ascending degree,
+    descending revlex within a degree) whose subregion is over-punctured.
+    No subregion is built: q divides a subregion label exactly when mq
+    divides a label of the region, so the subregion's own ideal is generated
+    by the generators of (I : m) of degree < d - deg m, where I is the
+    region's ideal.
+    """
+    d = region.d
+    region_ideal = monomial_ideal_of_region(region)
+    perfectly = overpuncturing_ideal(region_ideal, d) == 0
+    witness = next(
+        (
+            m
+            for j in range(d)
+            for m in monomials_of_degree(j)
+            if overpuncturing_ideal(region_ideal.colon(m), d - j) > 0
+        ),
+        None,
+    )
     no_overpunctured = witness is None
     tileable = find_tiling(region) is not None
     truths = sum((perfectly, no_overpunctured, tileable))

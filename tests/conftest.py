@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: ranks and
 determinants come from Fraction-based Gaussian elimination, permanents from
-permutation expansion, and multiplication matrices from direct polynomial
-shifts on standard monomial bases.
+permutation expansion, multiplication matrices from direct polynomial
+shifts on standard monomial bases, and region ideals, structural scans and
+over-punctured subregions from testing every monomial against every label.
 """
 
 from __future__ import annotations
@@ -15,12 +16,18 @@ from itertools import permutations
 import pytest
 
 from triregion import (
+    Balance,
     IntegerMatrix,
     Monomial,
     MonomialIdeal,
+    StructuralTileability,
+    TriangularRegion,
     X,
     Y,
     Z,
+    monomial_subregion,
+    monomials_of_degree,
+    triangle_counts,
 )
 
 CORPUS_SEED = 20260811
@@ -157,3 +164,49 @@ def multiplication_matrix(ideal: MonomialIdeal, d: int) -> tuple[tuple[int, ...]
             if i is not None:
                 rows[i][j] = 1
     return tuple(tuple(r) for r in rows)
+
+
+def region_ideal_oracle(region: TriangularRegion) -> MonomialIdeal:
+    """The region's ideal from the set of every divisor of every label: the
+    minimal monomials of degree < d outside that set."""
+    divisors: set[tuple[int, int, int]] = set()
+    for label in region.up_labels | region.down_labels:
+        for a in range(label.a + 1):
+            for b in range(label.b + 1):
+                for c in range(label.c + 1):
+                    divisors.add((a, b, c))
+    gens: list[Monomial] = []
+    for j in range(region.d):
+        for m in monomials_of_degree(j):
+            if m.exponents() in divisors:
+                continue
+            if any(g.divides(m) for g in gens):
+                continue
+            gens.append(m)
+    return MonomialIdeal.from_generators(gens)
+
+
+def structural_oracle(region: TriangularRegion) -> StructuralTileability:
+    """The structural scan with every monomial tested against every label:
+    the first down-heavy subregion in ascending degree, descending revlex."""
+    if triangle_counts(region)[2] is not Balance.BALANCED:
+        return StructuralTileability(False, True, None)
+    for j in range(region.d - 1):
+        for m in monomials_of_degree(j):
+            down_n = sum(1 for l in region.down_labels if m.divides(l))
+            up_n = sum(1 for l in region.up_labels if m.divides(l))
+            if down_n > up_n:
+                return StructuralTileability(False, False, m)
+    return StructuralTileability(True, False, None)
+
+
+def overpunctured_witness_oracle(region: TriangularRegion) -> Monomial | None:
+    """The first monomial whose subregion, built label by label, is
+    over-punctured by its own oracle ideal."""
+    for j in range(region.d):
+        for m in monomials_of_degree(j):
+            sub = monomial_subregion(region, m)
+            gens = region_ideal_oracle(sub).generators
+            if sum(sub.d - g.degree() for g in gens) > sub.d:
+                return m
+    return None

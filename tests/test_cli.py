@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from triregion import cli
 from triregion.cli import main
 
 
@@ -17,6 +16,12 @@ def run(capsys, *argv):
 
 
 class TestVerdictCommands:
+    def test_count_deep_parallelogram(self, capsys):
+        # the d = 64 parallelogram is one forced chain, deeper than the recursion limit
+        code, out, _ = run(capsys, "count", "--ideal", "x^32, y^32, z^64", "--degree", "64")
+        assert code == 0
+        assert json.loads(out) == {"count": "1", "exact": True}
+
     def test_wlp_true(self, capsys):
         code, out, _ = run(capsys, "wlp", "--ideal", "x^7, x^5yz, xy^3z^3, y^7, z^8")
         assert code == 0
@@ -143,22 +148,6 @@ class TestErrors:
         )
         assert code == 2
         assert "degree" in json.loads(err)["error"]["message"]
-
-    def test_recursion_too_deep_exit_2(self, capsys, monkeypatch):
-        # the d = 64 parallelogram is one forced chain, deeper than the recursion limit
-        code, out, _ = run(capsys, "count", "--ideal", "x^32, y^32, z^64", "--degree", "64")
-        assert code == 0
-        assert json.loads(out) == {"count": "1", "exact": True}
-
-        # find_tiling still augments recursively, so the exit-2 mapping stays
-        def too_deep(region):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(cli, "find_tiling", too_deep)
-        code, out, err = run(capsys, "tile", "--ideal", "x^2, y^2, z^2", "--degree", "3")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"]["type"] == "RecursionError"
 
 
 class TestArtifacts:

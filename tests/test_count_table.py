@@ -1,0 +1,156 @@
+"""The divisibility count table and the three region routines that read it:
+the region ideal, the structural scan and the two-of-three witness, each
+against a slow oracle that tests every monomial against every label."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triregion import (
+    Monomial,
+    MonomialIdeal,
+    StructuralTileability,
+    TriangularRegion,
+    build_region,
+    is_tileable_structural,
+    monomial_ideal_of_region,
+    monomial_subregion,
+    monomials_of_degree,
+    overpuncturing,
+    puncture_list,
+    two_of_three,
+)
+from triregion.regions import _divisor_counts
+from conftest import (
+    hexagon,
+    overpunctured_witness_oracle,
+    region_ideal_oracle,
+    structural_oracle,
+)
+
+
+@st.composite
+def artinian_regions(draw):
+    """A side-d region, d <= 16, of an Artinian ideal with up to three
+    boundary generators and up to four interior ones (every exponent
+    positive)."""
+    d = draw(st.integers(1, 16))
+    power = st.integers(1, d + 1)
+    gens = [Monomial(draw(power), 0, 0), Monomial(0, draw(power), 0), Monomial(0, 0, draw(power))]
+    small = st.integers(0, d)
+    positive = st.integers(1, max(1, d // 2))
+    for a, b, c in draw(st.lists(st.tuples(small, small, small), max_size=3)):
+        gens.append(Monomial(a, b, c))
+    for a, b, c in draw(st.lists(st.tuples(positive, positive, positive), max_size=4)):
+        gens.append(Monomial(a, b, c))
+    return build_region(MonomialIdeal.from_generators(gens), d)
+
+
+@st.composite
+def balanced_label_sets(draw):
+    """A balanced side-d region, d <= 12, whose label sets are arbitrary
+    equal-sized sets of monomials of degrees d-1 and d-2 (not necessarily
+    cut out by an ideal), so that down-heavy subregions are common."""
+    d = draw(st.integers(2, 12))
+    downs = monomials_of_degree(d - 2)
+    k = draw(st.integers(0, len(downs)))
+
+    def labels(j):
+        return draw(st.lists(st.sampled_from(monomials_of_degree(j)), min_size=k, max_size=k, unique=True))
+
+    up, down = labels(d - 1), labels(d - 2)
+    return TriangularRegion(d, frozenset(up), frozenset(down), MonomialIdeal(()))
+
+
+def brute_force_counts(labels, degree):
+    return [
+        [
+            [sum(1 for l in labels if Monomial(j - b - c, b, c).divides(l)) for b in range(j - c + 1)]
+            for c in range(j + 1)
+        ]
+        for j in range(degree + 1)
+    ]
+
+
+def assert_matches_oracles(region):
+    assert monomial_ideal_of_region(region) == region_ideal_oracle(region)
+    assert is_tileable_structural(region) == structural_oracle(region)
+    assert two_of_three(region).overpunctured_witness == overpunctured_witness_oracle(region)
+
+
+class TestCountTable:
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_regions())
+    def test_brute_force_counts(self, region):
+        d = region.d
+        assert _divisor_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
+        assert _divisor_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
+
+    def test_brute_force_counts_corpus(self, corpus):
+        for ideal, d in corpus[:100]:
+            region = build_region(ideal, d)
+            assert _divisor_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
+            assert _divisor_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
+
+    def test_no_labels(self):
+        assert _divisor_counts(frozenset(), -1) == []
+        assert _divisor_counts(frozenset(), 2) == [[[0]], [[0, 0], [0]], [[0, 0, 0], [0, 0], [0]]]
+
+
+class TestAgainstOracles:
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_regions())
+    def test_random_regions(self, region):
+        assert_matches_oracles(region)
+
+    @settings(derandomize=True, deadline=None)
+    @given(balanced_label_sets())
+    def test_balanced_label_sets(self, region):
+        assert monomial_ideal_of_region(region) == region_ideal_oracle(region)
+        assert is_tileable_structural(region) == structural_oracle(region)
+
+    def test_corpus(self, corpus):
+        for ideal, d in corpus:
+            assert_matches_oracles(build_region(ideal, d))
+
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_regions())
+    def test_subregion_ideal_is_truncated_colon(self, region):
+        # q divides a label of the subregion at m iff m*q divides a label of
+        # the region, so the subregion's ideal is (I : m) cut below d - deg m
+        d = region.d
+        region_ideal = monomial_ideal_of_region(region)
+        for j in range(d):
+            for m in monomials_of_degree(j):
+                colon = region_ideal.colon(m)
+                expected = MonomialIdeal.from_generators(g for g in colon if g.degree() < d - j)
+                assert monomial_ideal_of_region(monomial_subregion(region, m)) == expected
+
+
+@pytest.fixture(scope="module")
+def hexagon_60():
+    ideal, d = hexagon(20, 20, 20)
+    return ideal, build_region(ideal, d)
+
+
+class TestLargeHexagon:
+    """The d = 60 hexagon x^40, y^40, z^40: 1200 triangles of each kind."""
+
+    def test_structural_tileable(self, hexagon_60):
+        _, region = hexagon_60
+        assert is_tileable_structural(region) == StructuralTileability(True, False, None)
+
+    def test_three_corner_punctures(self, hexagon_60):
+        _, region = hexagon_60
+        punctures = puncture_list(region)
+        assert {p.generator for p in punctures} == {Monomial(40, 0, 0), Monomial(0, 40, 0), Monomial(0, 0, 40)}
+        assert all(p.side_length == 20 and p.boundary_contact and not p.floating for p in punctures)
+        assert overpuncturing(region) == 0
+
+    def test_ideal_rebuilds_region(self, hexagon_60):
+        ideal, region = hexagon_60
+        region_ideal = monomial_ideal_of_region(region)
+        assert region_ideal == ideal
+        assert build_region(region_ideal, 60) == region

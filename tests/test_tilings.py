@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -63,6 +64,21 @@ class TestFindTiling:
             tiling = find_tiling(region)
             if tiling is not None:
                 validate_tiling(region, tiling)
+
+    def test_deep_hexagon_without_recursion(self):
+        # the d = 60 hexagon's augmenting paths run over a hundred labels long
+        ideal, d = hexagon(20, 20, 20)
+        region = build_region(ideal, d)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            tiling = find_tiling(region)
+        finally:
+            sys.setrecursionlimit(limit)
+        validate_tiling(region, tiling)
 
 
 class TestEnumerate:
