@@ -1,10 +1,11 @@
 """Command-line interface: one subcommand per capability, JSON or text output.
 
 Exit codes: 0 success, 1 usage or ideal-syntax errors, 2 precondition
-violations (``ValueError``), with a machine-readable error object on
-stderr.  No algorithm behind a command recurses, so no input is too deep.
-Output is fully deterministic; big integers are serialized as decimal
-strings so downstream JSON consumers cannot lose precision.
+violations (``ValueError``) and failed file writes (``OSError``), with a
+machine-readable error object on stderr.  No algorithm behind a command
+recurses, so no input is too deep.  Output is fully deterministic; big
+integers are serialized as decimal strings so downstream JSON consumers
+cannot lose precision.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .monomials import IdealSyntaxError, _check_degree, parse_ideal
 from .regions import build_region, region_json, triangle_counts
 from .render import RenderOptions, region_svg, tiling_svg
 from .stability import criterion_check, decide_semistability
-from .tilings import enumerate_tilings, find_tiling, tiling_json
+from .tilings import ENUMERATION_CAP, enumerate_tilings, find_tiling, tiling_json
 
 FORMAT_ENV = "TRIREGION_FORMAT"
 
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact number of lozenge tilings")
     add_ideal(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
 
     p = sub.add_parser("wlp", help="weak Lefschetz property decision with per-degree ranks")
     add_ideal(p)
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": {"type": "syntax", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         json.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr
         )

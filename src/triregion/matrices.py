@@ -6,21 +6,17 @@ from one sparse row elimination over GF(p).  Modulo a prime above Hadamard's
 bound no minor vanishes that is nonzero over Q, so the rank mod p is exact
 and the determinant is its symmetric residue.  The rank is first computed
 modulo 2^61 - 1, which proves full rank when it finds it.  The permanent
-of a 0/1 matrix is its number of perfect matchings, counted by the
-backtracking tiling counter; other matrices use Ryser's inclusion-exclusion
-with Gray-code subset updates.
+is taken of 0/1 matrices only, the kind ``biadjacency`` builds: it is the
+number of perfect matchings, counted by the backtracking tiling counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomials import Monomial, VARIABLE_MONOMIALS
+from .monomials import Monomial
 from .regions import TriangularRegion
-from .tilings import _count_perfect_matchings
-
-#: Largest column count for Ryser's permanent, which takes 2^n steps.
-PERMANENT_COLUMN_LIMIT = 24
+from .tilings import _adjacency, _count_perfect_matchings
 
 # Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
 _RANK_PRIME = (1 << 61) - 1
@@ -78,16 +74,12 @@ def biadjacency(region: TriangularRegion) -> IntegerMatrix:
     gives the multiplication-by-(x+y+z) matrix between the two monomial
     bases.
     """
-    downs = region.down_sorted()
-    ups = region.up_sorted()
-    up_index = {u: k for k, u in enumerate(ups)}
+    downs, ups, neighbors = _adjacency(region)
     grid = []
-    for mu in downs:
+    for near in neighbors:
         row = [0] * len(ups)
-        for v in VARIABLE_MONOMIALS:
-            k = up_index.get(mu * v)
-            if k is not None:
-                row[k] = 1
+        for k in near:
+            row[k] = 1
         grid.append(tuple(row))
     return IntegerMatrix(len(downs), len(ups), tuple(grid), tuple(downs), tuple(ups))
 
@@ -171,72 +163,20 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
     return found, det % p
 
 
-def _ryser_permanent(rows: list[tuple[int, ...]]) -> int:
-    """Ryser's inclusion-exclusion permanent with Gray-code column updates."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    col_entries = [
-        [(i, rows[i][j]) for i in range(n) if rows[i][j]] for j in range(n)
-    ]
-    row_sum = [0] * n
-    zero_rows = n
-    total = 0
-    size = 0
-    gray = 0
-    for s in range(1, 1 << n):
-        bit = (s & -s).bit_length() - 1
-        mask = 1 << bit
-        gray ^= mask
-        if gray & mask:
-            size += 1
-            for i, v in col_entries[bit]:
-                old = row_sum[i]
-                new = old + v
-                row_sum[i] = new
-                if old == 0:
-                    zero_rows -= 1
-                if new == 0:
-                    zero_rows += 1
-        else:
-            size -= 1
-            for i, v in col_entries[bit]:
-                old = row_sum[i]
-                new = old - v
-                row_sum[i] = new
-                if old == 0:
-                    zero_rows -= 1
-                if new == 0:
-                    zero_rows += 1
-        if zero_rows == 0:
-            prod = 1
-            for v in row_sum:
-                prod *= v
-            total += prod if (n - size) % 2 == 0 else -prod
-    return total
-
-
 def permanent(matrix: IntegerMatrix) -> int:
-    """Exact permanent; 0x0 gives 1.
+    """Exact permanent of a square 0/1 matrix; 0x0 gives 1.
 
-    The permanent of a 0/1 matrix counts its perfect matchings (for a
-    bi-adjacency matrix, the region's tilings), and the tiling counter of
-    `triregion.tilings` finds them.  Any other matrix is evaluated by Ryser's
-    formula, in 2^n steps, and rejected above ``PERMANENT_COLUMN_LIMIT``
-    columns.
+    It counts the matrix's perfect matchings (for a bi-adjacency matrix, the
+    region's tilings), which the tiling counter of `triregion.tilings`
+    finds.  Any other entry raises ``ValueError``.
     """
     if not matrix.is_square():
         raise ValueError("permanent requires a square matrix")
     entries = matrix.entries
-    if all(v in (0, 1) for row in entries for v in row):
-        candidates = [frozenset(j for j, v in enumerate(row) if v) for row in entries]
-        return _count_perfect_matchings(candidates).count
-    if matrix.cols > PERMANENT_COLUMN_LIMIT:
-        raise ValueError(
-            f"matrix has {matrix.cols} columns, above the exact evaluation limit "
-            f"{PERMANENT_COLUMN_LIMIT} for entries other than 0 and 1"
-        )
-    return _ryser_permanent(list(entries))
+    if any(v not in (0, 1) for row in entries for v in row):
+        raise ValueError("permanent requires a 0/1 matrix")
+    candidates = [frozenset(j for j, v in enumerate(row) if v) for row in entries]
+    return _count_perfect_matchings(candidates).count
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:

@@ -243,8 +243,7 @@ def overpuncturing(region: TriangularRegion) -> int:
     Computed from the region's own ideal, so overlapping input presentations
     normalize away.
     """
-    region_ideal = monomial_ideal_of_region(region)
-    return sum(region.d - g.degree() for g in region_ideal.generators) - region.d
+    return overpuncturing_ideal(monomial_ideal_of_region(region), region.d)
 
 
 def overpuncturing_ideal(ideal: MonomialIdeal, d: int) -> int:

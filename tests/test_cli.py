@@ -139,6 +139,22 @@ class TestErrors:
         assert "unit" in json.loads(err)["error"]["message"]
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--ideal", "x^2, y^2, z^2", "--degree", "3", "--out"),
+            ("region", "--ideal", "xy, y^2, z^3", "--degree", "4", "--svg"),
+        ],
+        ids=["render", "region"],
+    )
+    def test_write_to_missing_directory_exit_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.svg"
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+        assert not target.exists()
+
     def test_precondition_degree(self, capsys):
         code, _, err = run(
             capsys,

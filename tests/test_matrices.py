@@ -12,13 +12,14 @@ from triregion import (
     IntegerMatrix,
     biadjacency,
     build_region,
+    convenient_family,
     determinant,
     matrix_json,
     parse_ideal,
     permanent,
     rank,
 )
-from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime, _ryser_permanent
+from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime
 from conftest import (
     fraction_determinant,
     fraction_rank,
@@ -83,8 +84,15 @@ class TestBiadjacency:
 
     def test_transpose_is_multiplication_matrix(self):
         rng = random.Random(61)
-        for _ in range(30):
-            ideal, d = random_artinian_ideal(rng)
+        cases = [random_artinian_ideal(rng) for _ in range(30)]
+        # every side of a wlp_families family, up to the first whose
+        # up row is empty, and the d = 30 hexagon x^20, y^20, z^20
+        family = convenient_family(8, 25)
+        cases.append((family, 1))
+        while family.hilbert_function(cases[-1][1] - 1):
+            cases.append((family, cases[-1][1] + 1))
+        cases.append(hexagon(10, 10, 10))
+        for ideal, d in cases:
             Z = biadjacency(build_region(ideal, d))
             assert Z.transpose().entries == multiplication_matrix(ideal, d)
 
@@ -218,22 +226,33 @@ class TestPermanent:
             permanent(IntegerMatrix.from_rows([[1, 1, 0]]))
 
     def test_against_permutation_oracle(self):
+        # 0/1 draws match the oracle; any other entry is rejected
         rng = random.Random(73)
         for _ in range(60):
             n = rng.randint(0, 6)
             M = random_matrix(rng, n, n, lo=-2, hi=3)
-            assert permanent(M) == permutation_permanent(M)
+            if all(v in (0, 1) for row in M.entries for v in row):
+                assert permanent(M) == permutation_permanent(M)
+            else:
+                with pytest.raises(ValueError, match="0/1"):
+                    permanent(M)
 
     @settings(derandomize=True, deadline=None)
     @given(zero_one_matrices())
-    def test_fallback_matches_ryser(self, M):
-        # a 0/1 matrix is counted by matching, which both oracles must confirm
-        assert permanent(M) == _ryser_permanent(list(M.entries)) == permutation_permanent(M)
+    def test_zero_one_matches_permutation_oracle(self, M):
+        assert permanent(M) == permutation_permanent(M)
 
-    def test_over_limit_without_fallback_rejected(self):
-        rng = random.Random(83)
-        M = random_matrix(rng, 25, 25, lo=2, hi=5)
-        with pytest.raises(ValueError, match="limit"):
+    @pytest.mark.parametrize(
+        "M",
+        [
+            IntegerMatrix.from_rows([[2]]),
+            IntegerMatrix.from_rows([[1, -1], [1, 1]]),
+            random_matrix(random.Random(83), 25, 25, lo=2, hi=5),
+        ],
+        ids=["two", "signed", "order25"],
+    )
+    def test_non_zero_one_rejected(self, M):
+        with pytest.raises(ValueError, match="0/1"):
             permanent(M)
 
     def test_determinant_bounded_by_permanent(self):
