@@ -225,8 +225,11 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
     Factors inside a term may be separated by ``*`` or whitespace; a bare
     ``1`` denotes the unit monomial.  A variable may appear at most once
-    per term.  The parsed generators are minimalized.
+    per term.  The parsed generators are minimalized.  A lone ``0`` is the
+    zero ideal, as ``str`` prints it.
     """
+    if text.strip() == "0":
+        return MonomialIdeal(())
     gens: list[Monomial] = []
     i, n = 0, len(text)
 

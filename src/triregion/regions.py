@@ -18,15 +18,10 @@ the over-puncturing coefficient) and the structural tileability scan in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    _check_degree,
-    revlex_key,
-)
+from .monomials import Monomial, MonomialIdeal, _check_degree, revlex_key
 
 
 class Balance(Enum):
@@ -61,23 +56,23 @@ class Puncture:
 class TriangularRegion:
     """Label sets of a side-d triangular region.
 
-    Two regions compare equal when they have the same side length and label
-    sets; the ideal they were built from is provenance only.
+    A region is its labels: up labels of degree d-1 and down labels of
+    degree d-2.  It keeps no ideal; ``monomial_ideal_of_region`` recovers
+    the largest one that cuts it out.
     """
 
     d: int
     up_labels: frozenset[Monomial]
     down_labels: frozenset[Monomial]
-    source_ideal: MonomialIdeal = field(compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("region side length must be positive")
         for m in self.up_labels:
-            if m.degree() != self.d - 1 or self.source_ideal.contains(m):
+            if m.degree() != self.d - 1:
                 raise ValueError(f"invalid up label {m}")
         for m in self.down_labels:
-            if m.degree() != self.d - 2 or self.source_ideal.contains(m):
+            if m.degree() != self.d - 2:
                 raise ValueError(f"invalid down label {m}")
 
     def up_sorted(self) -> list[Monomial]:
@@ -97,7 +92,7 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
     _check_degree(d)
     up = frozenset(ideal.standard_monomials(d - 1))
     down = frozenset(ideal.standard_monomials(d - 2)) if d >= 2 else frozenset()
-    return TriangularRegion(d, up, down, ideal)
+    return TriangularRegion(d, up, down)
 
 
 def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:
@@ -224,7 +219,8 @@ def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegio
     """The part of the region lying inside the puncture position of m.
 
     Labels divisible by m survive, re-expressed after dividing m out; the
-    result is the side-(d - deg m) region of the colon ideal.
+    result is a side-(d - deg m) region, the one the colon ideal (I : m)
+    cuts out when I cuts out this region.
     """
     if m.degree() >= region.d:
         raise ValueError(
@@ -232,9 +228,7 @@ def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegio
         )
     up = frozenset(l.divide_by(m) for l in region.up_labels if m.divides(l))
     down = frozenset(l.divide_by(m) for l in region.down_labels if m.divides(l))
-    return TriangularRegion(
-        region.d - m.degree(), up, down, region.source_ideal.colon(m)
-    )
+    return TriangularRegion(region.d - m.degree(), up, down)
 
 
 def overpuncturing(region: TriangularRegion) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .monomials import Monomial, VARIABLE_MONOMIALS, monomials_of_degree, revlex_key
+from .monomials import Monomial, MonomialIdeal, VARIABLE_MONOMIALS, monomials_of_degree, revlex_key
 from .regions import (
     Balance,
     TriangularRegion,
@@ -247,17 +247,25 @@ def two_of_three(region: TriangularRegion) -> TwoOfThreeReport:
     No subregion is built: q divides a subregion label exactly when mq
     divides a label of the region, so the subregion's own ideal is generated
     by the generators of (I : m) of degree < d - deg m, where I is the
-    region's ideal.
+    region's ideal.  Only the quotients lcm(g, m)/m of that degree are
+    minimalized: a quotient dividing a kept one has smaller degree and is
+    kept too, so their minimal elements are exactly those generators.
     """
     d = region.d
     region_ideal = monomial_ideal_of_region(region)
     perfectly = overpuncturing_ideal(region_ideal, d) == 0
+    gens = region_ideal.generators
     witness = next(
         (
             m
             for j in range(d)
             for m in monomials_of_degree(j)
-            if overpuncturing_ideal(region_ideal.colon(m), d - j) > 0
+            if overpuncturing_ideal(
+                MonomialIdeal.from_generators(
+                    n.divide_by(m) for n in (g.lcm(m) for g in gens) if n.degree() < d
+                ),
+                d - j,
+            ) > 0
         ),
         None,
     )

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from triregion import (
     Balance,
@@ -25,6 +26,7 @@ from triregion import (
     X,
     Y,
     Z,
+    build_region,
     monomial_subregion,
     monomials_of_degree,
     triangle_counts,
@@ -32,6 +34,28 @@ from triregion import (
 
 CORPUS_SEED = 20260811
 CORPUS_SIZE = 500
+
+
+@st.composite
+def artinian_ideals(draw, max_d: int = 16):
+    """An Artinian ideal and a side d <= max_d: up to three boundary
+    generators and up to four interior ones (every exponent positive)
+    besides the three pure powers."""
+    d = draw(st.integers(1, max_d))
+    power = st.integers(1, d + 1)
+    gens = [Monomial(draw(power), 0, 0), Monomial(0, draw(power), 0), Monomial(0, 0, draw(power))]
+    small = st.integers(0, d)
+    positive = st.integers(1, max(1, d // 2))
+    for a, b, c in draw(st.lists(st.tuples(small, small, small), max_size=3)):
+        gens.append(Monomial(a, b, c))
+    for a, b, c in draw(st.lists(st.tuples(positive, positive, positive), max_size=4)):
+        gens.append(Monomial(a, b, c))
+    return MonomialIdeal.from_generators(gens), d
+
+
+def artinian_regions(max_d: int = 16):
+    """The side-d region of an ``artinian_ideals`` draw."""
+    return artinian_ideals(max_d).map(lambda drawn: build_region(*drawn))
 
 
 def random_artinian_ideal(rng: random.Random) -> tuple[MonomialIdeal, int]:

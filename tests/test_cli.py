@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from triregion.cli import main
+from triregion.cli import COMMANDS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """The ``triregion ...`` lines of the README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("triregion ")]
 
 
 def run(capsys, *argv):
@@ -75,6 +86,17 @@ class TestVerdictCommands:
         assert code == 0
         values = [row["value"] for row in json.loads(out)["values"]]
         assert values == [1, 3, 3, 1, 0]
+
+
+class TestReadmeExamples:
+    def test_every_line_exits_0(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lines = readme_command_lines()
+        for argv in lines:
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, err) == (0, ""), argv
+            assert out
+        assert {argv[1] for argv in lines} >= set(COMMANDS)
 
 
 class TestErrors:

@@ -24,28 +24,12 @@ from triregion import (
 )
 from triregion.regions import _divisor_counts
 from conftest import (
+    artinian_regions,
     hexagon,
     overpunctured_witness_oracle,
     region_ideal_oracle,
     structural_oracle,
 )
-
-
-@st.composite
-def artinian_regions(draw):
-    """A side-d region, d <= 16, of an Artinian ideal with up to three
-    boundary generators and up to four interior ones (every exponent
-    positive)."""
-    d = draw(st.integers(1, 16))
-    power = st.integers(1, d + 1)
-    gens = [Monomial(draw(power), 0, 0), Monomial(0, draw(power), 0), Monomial(0, 0, draw(power))]
-    small = st.integers(0, d)
-    positive = st.integers(1, max(1, d // 2))
-    for a, b, c in draw(st.lists(st.tuples(small, small, small), max_size=3)):
-        gens.append(Monomial(a, b, c))
-    for a, b, c in draw(st.lists(st.tuples(positive, positive, positive), max_size=4)):
-        gens.append(Monomial(a, b, c))
-    return build_region(MonomialIdeal.from_generators(gens), d)
 
 
 @st.composite
@@ -61,7 +45,7 @@ def balanced_label_sets(draw):
         return draw(st.lists(st.sampled_from(monomials_of_degree(j)), min_size=k, max_size=k, unique=True))
 
     up, down = labels(d - 1), labels(d - 2)
-    return TriangularRegion(d, frozenset(up), frozenset(down), MonomialIdeal(()))
+    return TriangularRegion(d, frozenset(up), frozenset(down))
 
 
 def brute_force_counts(labels, degree):

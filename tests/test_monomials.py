@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import triregion.monomials
 from triregion import (
@@ -112,6 +114,17 @@ class TestParse:
 
     def test_roundtrip_canonical_form(self):
         ideal = parse_ideal("x^6, y^7, z^8, x*y^5*z, x*y^2*z^3, x^3*y^2*z")
+        assert parse_ideal(str(ideal)) == ideal
+
+    # the zero ideal prints as "0", the one printed form that is not a list of terms
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=8).map(
+            lambda exps: MonomialIdeal.from_generators(Monomial(*e) for e in exps)
+        )
+    )
+    @example(MonomialIdeal(()))
+    def test_roundtrip_property(self, ideal):
         assert parse_ideal(str(ideal)) == ideal
 
 

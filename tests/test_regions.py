@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from triregion import (
     Balance,
     Monomial,
     MonomialIdeal,
     PunctureRelation,
+    TriangularRegion,
     build_region,
     monomial_ideal_of_region,
     monomial_subregion,
@@ -22,7 +24,7 @@ from triregion import (
     relate_punctures,
     triangle_counts,
 )
-from conftest import random_artinian_ideal
+from conftest import artinian_ideals, random_artinian_ideal
 
 
 def m(a, b, c):
@@ -57,6 +59,12 @@ class TestBuildRegion:
         with pytest.raises(ValueError):
             build_region(ZERO, 0)
 
+    def test_label_degrees_checked(self):
+        with pytest.raises(ValueError, match="up label"):
+            TriangularRegion(4, frozenset({m(2, 0, 0)}), frozenset())
+        with pytest.raises(ValueError, match="down label"):
+            TriangularRegion(4, frozenset(), frozenset({m(3, 0, 0)}))
+
 
 class TestTriangleCounts:
     def test_balanced_reference(self):
@@ -78,6 +86,14 @@ class TestTriangleCounts:
             down, up, _ = triangle_counts(build_region(ideal, d))
             assert down == ideal.hilbert_function(d - 2)
             assert up == ideal.hilbert_function(d - 1)
+
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_ideals())
+    def test_label_counts_are_hilbert_values(self, drawn):
+        ideal, d = drawn
+        region = build_region(ideal, d)
+        assert len(region.up_labels) == ideal.hilbert_function(d - 1)
+        assert len(region.down_labels) == ideal.hilbert_function(d - 2)
 
 
 class TestRegionIdeal:

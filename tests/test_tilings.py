@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from triregion import (
     Balance,
@@ -23,7 +24,7 @@ from triregion import (
     two_of_three,
     validate_tiling,
 )
-from conftest import hexagon, macmahon, random_artinian_ideal
+from conftest import artinian_regions, hexagon, macmahon, random_artinian_ideal
 
 
 def m(a, b, c):
@@ -165,6 +166,15 @@ class TestOracleTriangle:
             count = enumerate_tilings(region)
             structural = is_tileable_structural(region).tileable
             assert found == (count.count > 0) == structural
+
+    # d <= 10: a capped count can still run long on larger hexagons
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_regions(max_d=10))
+    def test_four_routes_agree_property(self, region):
+        found = find_tiling(region) is not None
+        assert found == is_tileable_structural(region).tileable
+        assert found == (enumerate_tilings(region, cap=1).count > 0)
+        assert found == two_of_three(region).tileable
 
     def test_tileable_implies_balanced(self):
         rng = random.Random(107)
