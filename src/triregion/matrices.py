@@ -1,13 +1,15 @@
-"""Bi-adjacency matrices and exact integer linear algebra.
+"""Sparse bi-adjacency matrices and exact integer linear algebra.
 
-Everything is computed over the integers with Python's arbitrary-precision
-arithmetic; there is no floating point anywhere.  Rank and determinant come
-from one sparse row elimination over GF(p).  Modulo a prime above Hadamard's
-bound no minor vanishes that is nonzero over Q, so the rank mod p is exact
-and the determinant is its symmetric residue.  The rank is first computed
-modulo 2^61 - 1, which proves full rank when it finds it.  The permanent
-is taken of 0/1 matrices only, the kind ``biadjacency`` builds: it is the
-number of perfect matchings, counted by the backtracking tiling counter.
+A matrix is stored by rows of its nonzero entries, the form the elimination
+reads; a bi-adjacency row has at most three.  Everything is computed over
+the integers with Python's arbitrary-precision arithmetic; there is no
+floating point anywhere.  Rank and determinant come from one sparse row
+elimination over GF(p).  Modulo a prime above Hadamard's bound no minor
+vanishes that is nonzero over Q, so the rank mod p is exact and the
+determinant is its symmetric residue.  The rank is first computed modulo
+2^61 - 1, which proves full rank when it finds it.  The permanent is taken
+of 0/1 matrices only, the kind ``biadjacency`` builds: it is the number of
+perfect matchings, counted by the backtracking tiling counter.
 """
 
 from __future__ import annotations
@@ -32,19 +34,33 @@ _MERSENNE_EXPONENTS = (
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """A dense integer matrix with optional monomial row/column labels."""
+    """A sparse integer matrix with optional monomial row/column labels.
+
+    ``row_entries[i]`` holds the nonzero entries of row i as ``(column,
+    value)`` pairs in ascending column order; zeros are not stored.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    row_entries: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[Monomial, ...] | None = None
     col_labels: tuple[Monomial, ...] | None = None
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match the declared shape")
+        if len(self.row_entries) != self.rows:
+            raise ValueError("row count does not match the declared shape")
+        for i, row in enumerate(self.row_entries):
+            previous = -1
+            for j, v in row:
+                if not 0 <= j < self.cols:
+                    raise ValueError(f"row {i}: column {j} out of range")
+                if j <= previous:
+                    raise ValueError(f"row {i}: columns not strictly ascending")
+                if not v:
+                    raise ValueError(f"row {i}: stored zero in column {j}")
+                previous = j
         if self.row_labels is not None and len(self.row_labels) != self.rows:
             raise ValueError("row label count mismatch")
         if self.col_labels is not None and len(self.col_labels) != self.cols:
@@ -52,15 +68,30 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> IntegerMatrix:
+        """The matrix of a dense grid given row by row; no rows give 0x0."""
         n = len(rows)
         m = len(rows[0]) if rows else 0
-        return IntegerMatrix(n, m, tuple(tuple(r) for r in rows))
+        if any(len(r) != m for r in rows):
+            raise ValueError("entry grid does not match the declared shape")
+        return IntegerMatrix(n, m, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense grid, zeros included, built on each access."""
+        grid = []
+        for row in self.row_entries:
+            dense = [0] * self.cols
+            for j, v in row:
+                dense[j] = v
+            grid.append(tuple(dense))
+        return tuple(grid)
 
     def transpose(self) -> IntegerMatrix:
-        flipped = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.row_entries):
+            for j, v in row:
+                columns[j].append((i, v))
+        flipped = tuple(tuple(column) for column in columns)
         return IntegerMatrix(self.cols, self.rows, flipped, self.col_labels, self.row_labels)
 
     def is_square(self) -> bool:
@@ -75,13 +106,8 @@ def biadjacency(region: TriangularRegion) -> IntegerMatrix:
     bases.
     """
     downs, ups, neighbors = _adjacency(region)
-    grid = []
-    for near in neighbors:
-        row = [0] * len(ups)
-        for k in near:
-            row[k] = 1
-        grid.append(tuple(row))
-    return IntegerMatrix(len(downs), len(ups), tuple(grid), tuple(downs), tuple(ups))
+    rows = tuple(tuple((k, 1) for k in near) for near in neighbors)
+    return IntegerMatrix(len(downs), len(ups), rows, tuple(downs), tuple(ups))
 
 
 def determinant(matrix: IntegerMatrix) -> int:
@@ -114,8 +140,8 @@ def _exact_prime(matrix: IntegerMatrix) -> int:
     between -p/2 and p/2, so mod p it vanishes only when it is 0, and the
     symmetric residue of the determinant is the determinant."""
     bound = 1
-    for entries in matrix.entries:
-        bound *= max(1, sum(v * v for v in entries))
+    for row in matrix.row_entries:
+        bound *= max(1, sum(v * v for _, v in row))
     for e in _MERSENNE_EXPONENTS:
         if 1 << (2 * e - 2) > 4 * bound:
             return (1 << e) - 1
@@ -134,8 +160,8 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
     # Leading column -> basis row, scaled to a leading 1; keys in row order.
     basis: dict[int, dict[int, int]] = {}
     det = 1
-    for entries in matrix.entries:
-        row = {j: v % p for j, v in enumerate(entries) if v % p}
+    for entries in matrix.row_entries:
+        row = {j: v % p for j, v in entries if v % p}
         while row:
             lead = min(row)
             pivot = basis.get(lead)
@@ -172,10 +198,10 @@ def permanent(matrix: IntegerMatrix) -> int:
     """
     if not matrix.is_square():
         raise ValueError("permanent requires a square matrix")
-    entries = matrix.entries
-    if any(v not in (0, 1) for row in entries for v in row):
+    rows = matrix.row_entries
+    if any(v != 1 for row in rows for _, v in row):
         raise ValueError("permanent requires a 0/1 matrix")
-    candidates = [frozenset(j for j, v in enumerate(row) if v) for row in entries]
+    candidates = [frozenset(j for j, _ in row) for row in rows]
     return _count_perfect_matchings(candidates).count
 
 

@@ -1,16 +1,19 @@
 """Monomials and monomial ideals in the polynomial ring K[x, y, z].
 
 Everything here is exact integer arithmetic on exponent triples.  An ideal
-is stored by its minimal generators; membership, colon ideals, Hilbert
-functions and socle degrees are all divisibility computations on those
-triples.  All values are immutable, so they are safe to share across
-threads.
+is stored by its minimal generators; membership and colon ideals are
+divisibility computations on those triples.  Standard monomials and Hilbert
+functions are read off the ideal's staircase in one degree, built per call
+from the generators in time proportional to the number of monomials of that
+degree, and socle degrees follow from them.  All values are immutable, so
+they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator
 
 VARIABLES = ("x", "y", "z")
@@ -178,19 +181,47 @@ class MonomialIdeal:
             g.lcm(m).divide_by(m) for g in self.generators
         )
 
+    def _standard_flags(self, j: int) -> list[bool]:
+        """For each monomial of ``monomials_of_degree(j)``, whether it is standard.
+
+        The staircase h[c][b] is the least a with x^a y^b z^c in the ideal,
+        capped at j + 1: each generator with b + c <= j sets its own cell,
+        and prefix minima over b, then over c, extend it to every multiple.
+        x^a y^b z^c is standard iff a < h[c][b], for every ideal, Artinian
+        or not.  Rows run over c and cells over b, the order of
+        ``monomials_of_degree``.  The table costs O(j^2) and lives for one call.
+        """
+        h = [[j + 1] * (j + 1 - c) for c in range(j + 1)]
+        for g in self.generators:
+            if g.b + g.c <= j and g.a < h[g.c][g.b]:
+                h[g.c][g.b] = g.a
+        flags: list[bool] = []
+        above: list[int] = []
+        for c, row in enumerate(h):
+            least = j + 1
+            for b, a in enumerate(row):
+                if a < least:
+                    least = a
+                if above and above[b] < least:
+                    least = above[b]
+                row[b] = least
+                flags.append(j - b - c < least)
+            above = row
+        return flags
+
     def hilbert_function(self, j: int) -> int:
         """Number of degree-j monomials outside the ideal (0 for j < 0)."""
         if j < 0:
             return 0
         _check_degree(j)
-        return sum(1 for m in monomials_of_degree(j) if not self.contains(m))
+        return sum(self._standard_flags(j))
 
     def standard_monomials(self, j: int) -> list[Monomial]:
         """Degree-j monomials outside the ideal, in descending revlex order."""
         if j < 0:
             raise ValueError(f"degree must be nonnegative, got {j}")
         _check_degree(j)
-        return [m for m in monomials_of_degree(j) if not self.contains(m)]
+        return list(compress(monomials_of_degree(j), self._standard_flags(j)))
 
     def socle_degrees(self) -> list[int]:
         """Degrees of the monomial socle basis of the quotient, sorted.

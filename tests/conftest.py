@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: ranks and
 determinants come from Fraction-based Gaussian elimination, permanents from
 permutation expansion, multiplication matrices from direct polynomial
-shifts on standard monomial bases, and region ideals, structural scans and
-over-punctured subregions from testing every monomial against every label.
+shifts on standard monomial bases found by a plain divisibility scan, and
+region ideals, structural scans and over-punctured subregions from testing
+every monomial against every label.
 """
 
 from __future__ import annotations
@@ -172,14 +173,27 @@ def permutation_permanent(matrix: IntegerMatrix) -> int:
     return total
 
 
+def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:
+    """Degree-j monomials outside the ideal in descending revlex order, each
+    exponent triple tested against every generator."""
+    gens = [g.exponents() for g in ideal.generators]
+    out = []
+    for c in range(j + 1):
+        for b in range(j - c + 1):
+            a = j - b - c
+            if not any(ga <= a and gb <= b and gc <= c for ga, gb, gc in gens):
+                out.append(Monomial(a, b, c))
+    return out
+
+
 def multiplication_matrix(ideal: MonomialIdeal, d: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of multiplication by x+y+z from degree d-2 to degree d-1.
 
     Rows are indexed by the degree d-1 standard monomials and columns by
     the degree d-2 ones, both in descending revlex order.
     """
-    source = ideal.standard_monomials(d - 2) if d >= 2 else []
-    target = ideal.standard_monomials(d - 1)
+    source = standard_by_scan(ideal, d - 2)
+    target = standard_by_scan(ideal, d - 1)
     index = {m: i for i, m in enumerate(target)}
     rows = [[0] * len(source) for _ in target]
     for j, mu in enumerate(source):

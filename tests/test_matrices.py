@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,8 @@ def matrices_near_prime(draw, square=False):
     m = n if square else draw(st.integers(0, 5))
     entry = st.builds(lambda small, k: small + k * PRIME, st.integers(-2, 2), st.integers(-1, 1))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
-    return IntegerMatrix(n, m, tuple(tuple(r) for r in rows))
+    # built from sparse rows, since a dense grid without rows cannot say m
+    return IntegerMatrix(n, m, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
 
 
 @st.composite
@@ -51,7 +53,7 @@ def zero_one_matrices(draw):
     """Square 0/1 matrices of order at most 7."""
     n = draw(st.integers(0, 7))
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
-    return IntegerMatrix(n, n, tuple(tuple(r) for r in rows))
+    return IntegerMatrix.from_rows(rows)
 
 
 def random_matrix(rng: random.Random, n: int, m: int, lo=-4, hi=4) -> IntegerMatrix:
@@ -271,6 +273,16 @@ class TestSerialization:
         assert payload["row_labels"] == ["x", "y", "z"]
         assert payload["entries"][0] == [1, 1, 0]
 
+    def test_json_pinned(self):
+        Z = biadjacency(build_region(parse_ideal("x^2, y^2, z^3"), 3))
+        assert matrix_json(Z) == {
+            "rows": 3,
+            "cols": 4,
+            "entries": [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]],
+            "row_labels": ["x", "y", "z"],
+            "col_labels": ["x*y", "x*z", "y*z", "z^2"],
+        }
+
     def test_json_keeps_empty_labels(self):
         # the d = 1 region of x^2, y^2, z^2 has no down labels and one up label
         Z = biadjacency(build_region(parse_ideal("x^2, y^2, z^2"), 1))
@@ -282,3 +294,39 @@ class TestSerialization:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             IntegerMatrix(2, 2, ((1, 0),))
+
+
+class TestSparseRows:
+    def test_column_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            IntegerMatrix(1, 2, (((2, 1),),))
+        with pytest.raises(ValueError, match="out of range"):
+            IntegerMatrix(1, 2, (((-1, 1),),))
+
+    def test_column_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="ascending"):
+            IntegerMatrix(1, 3, (((2, 1), (0, 1)),))
+
+    def test_repeated_column_rejected(self):
+        with pytest.raises(ValueError, match="ascending"):
+            IntegerMatrix(1, 3, (((1, 1), (1, 2)),))
+
+    def test_stored_zero_rejected(self):
+        with pytest.raises(ValueError, match="stored zero"):
+            IntegerMatrix(2, 2, ((), ((0, 1), (1, 0))))
+
+    def test_ragged_grid_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            IntegerMatrix.from_rows([[1, 0], [1]])
+
+    @settings(derandomize=True, deadline=None)
+    @given(matrices_near_prime())
+    def test_dense_round_trip(self, M):
+        # a grid without rows cannot carry its width, so it comes back 0x0
+        back = IntegerMatrix.from_rows(M.entries)
+        assert back == (M if M.rows else IntegerMatrix(0, 0, ()))
+
+    def test_biadjacency_round_trip(self):
+        Z = biadjacency(build_region(parse_ideal("x^6, y^7, z^8, xy^5z, xy^2z^3, x^3y^2z"), 8))
+        assert IntegerMatrix.from_rows(Z.entries) == replace(Z, row_labels=None, col_labels=None)
+        assert Z.transpose().transpose() == Z

@@ -243,6 +243,34 @@ class TestHilbert:
         with pytest.raises(ValueError, match="cap"):
             ideal.standard_monomials(11)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 35)] * 3), max_size=8).map(
+            lambda exps: MonomialIdeal.from_generators(m(*e) for e in exps)
+        ),
+        st.integers(0, 30),
+    )
+    @example(MonomialIdeal(()), 0)
+    @example(MonomialIdeal((ONE,)), 0)
+    @example(parse_ideal("x^2, y^2, z^2"), -1)
+    @example(parse_ideal("xy, y^2, z^3"), triregion.monomials.DEGREE_CAP + 1)
+    def test_staircase_matches_contains_scan(self, ideal, j):
+        # zero, unit and non-Artinian ideals and generators above degree j
+        # all go through the staircase; the scan tests every generator
+        if j < 0:
+            assert ideal.hilbert_function(j) == 0
+            with pytest.raises(ValueError, match="nonnegative"):
+                ideal.standard_monomials(j)
+        elif j > triregion.monomials.DEGREE_CAP:
+            with pytest.raises(ValueError, match="cap"):
+                ideal.hilbert_function(j)
+            with pytest.raises(ValueError, match="cap"):
+                ideal.standard_monomials(j)
+        else:
+            scan = [mono for mono in monomials_of_degree(j) if not ideal.contains(mono)]
+            assert ideal.standard_monomials(j) == scan
+            assert ideal.hilbert_function(j) == len(scan)
+
 
 class TestSocle:
     def test_complete_intersection(self):
@@ -277,4 +305,16 @@ class TestSocle:
                         for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1))
                     ):
                         expected.append(j)
+            assert ideal.socle_degrees() == expected
+
+    def test_corpus_matches_contains_scan(self, corpus):
+        for ideal, _ in corpus:
+            expected = []
+            j = 0
+            while survivors := [mono for mono in monomials_of_degree(j) if not ideal.contains(mono)]:
+                expected += [
+                    j for mono in survivors
+                    if all(ideal.contains(mono * v) for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1)))
+                ]
+                j += 1
             assert ideal.socle_degrees() == expected
