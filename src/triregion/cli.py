@@ -25,7 +25,7 @@ from .monomials import IdealSyntaxError, _check_degree, parse_ideal
 from .regions import TriangularRegion, build_region, region_json, triangle_counts
 from .render import RenderOptions, region_svg, tiling_svg
 from .stability import criterion_check, decide_semistability
-from .tilings import ENUMERATION_CAP, enumerate_tilings, find_tiling, tiling_json
+from .tilings import find_tiling, tiling_json
 
 FORMAT_ENV = "TRIREGION_FORMAT"
 
@@ -70,8 +70,9 @@ def _tile(args: argparse.Namespace) -> dict:
 
 
 def _count(args: argparse.Namespace) -> dict:
-    result = enumerate_tilings(_region(args), cap=args.cap)
-    return {"count": str(result.count), "exact": result.exact}
+    region = _region(args)
+    balanced = len(region.up_labels) == len(region.down_labels)
+    return {"count": str(permanent(biadjacency(region)) if balanced else 0), "exact": True}
 
 
 def _semistable(args: argparse.Namespace) -> dict:
@@ -135,8 +136,7 @@ COMMANDS = {
                (_IDEAL, _DEGREE, ("--svg", {"help": "also write an SVG rendering to this path"})),
                _region_command),
     "tile": ("find one lozenge tiling if any exists", (_IDEAL, _DEGREE), _tile),
-    "count": ("exact number of lozenge tilings",
-              (_IDEAL, _DEGREE, ("--cap", {"type": int, "default": ENUMERATION_CAP})), _count),
+    "count": ("exact number of lozenge tilings", (_IDEAL, _DEGREE), _count),
     "wlp": ("weak Lefschetz property decision with per-degree ranks", (_IDEAL,),
             lambda args: has_wlp(parse_ideal(args.ideal)).to_json()),
     "criterion": ("generator-degree criteria and verdicts", (_IDEAL,),

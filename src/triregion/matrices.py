@@ -9,7 +9,10 @@ vanishes that is nonzero over Q, so the rank mod p is exact and the
 determinant is its symmetric residue.  The rank is first computed modulo
 2^61 - 1, which proves full rank when it finds it.  The permanent is taken
 of 0/1 matrices only, the kind ``biadjacency`` builds: it is the number of
-perfect matchings, counted by the backtracking tiling counter.
+perfect matchings.  For a region's bi-adjacency matrix it is |det K|, the
+determinant of the Kasteleyn signing that `triregion.tilings` reads off the
+region's holes; any other 0/1 matrix, and one of order below 6, goes to the
+backtracking matching counter.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .monomials import Monomial
 from .regions import TriangularRegion
-from .tilings import _adjacency, _count_perfect_matchings
+from .tilings import _adjacency, _count_perfect_matchings, _kasteleyn_flips
 
 # Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
 _RANK_PRIME = (1 << 61) - 1
@@ -30,6 +33,10 @@ _MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
 )
+
+#: Below this order a 0/1 matrix has at most 5! = 120 perfect matchings,
+#: and the matching counter finds them sooner than a determinant is taken.
+_COUNTER_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -192,17 +199,44 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
 def permanent(matrix: IntegerMatrix) -> int:
     """Exact permanent of a square 0/1 matrix; 0x0 gives 1.
 
-    It counts the matrix's perfect matchings (for a bi-adjacency matrix, the
-    region's tilings), which the tiling counter of `triregion.tilings`
-    finds.  Any other entry raises ``ValueError``.
+    It counts the matrix's perfect matchings.  A region's bi-adjacency
+    matrix of order 6 or more counts the tilings as |det K|, for the
+    Kasteleyn signing K that `triregion.tilings` reads off the region's
+    holes, in polynomial time.  Any other 0/1 matrix (a smaller one, an
+    unlabelled one, or one that is not exactly the bi-adjacency matrix of
+    the region its labels name) goes to the backtracking matching counter,
+    which is exponential in general.  Any other entry raises ``ValueError``.
     """
     if not matrix.is_square():
         raise ValueError("permanent requires a square matrix")
     rows = matrix.row_entries
     if any(v != 1 for row in rows for _, v in row):
         raise ValueError("permanent requires a 0/1 matrix")
-    candidates = [frozenset(j for j, _ in row) for row in rows]
-    return _count_perfect_matchings(candidates).count
+    region = _labelled_region(matrix) if matrix.rows >= _COUNTER_ORDER else None
+    if region is None:
+        return _count_perfect_matchings([frozenset(j for j, _ in row) for row in rows]).count
+    flips = _kasteleyn_flips(region)
+    if flips:
+        # A down label's z-neighbour is the last entry of its row (x, y, z order).
+        signed = tuple(
+            row[:-1] + ((row[-1][0], -1),) if mu.exponents() in flips else row
+            for mu, row in zip(matrix.row_labels, rows)
+        )
+        matrix = IntegerMatrix(matrix.rows, matrix.cols, signed)
+    return abs(determinant(matrix))
+
+
+def _labelled_region(matrix: IntegerMatrix) -> TriangularRegion | None:
+    """The region whose ``biadjacency`` is exactly this matrix, labels and
+    their order included, or None."""
+    downs, ups = matrix.row_labels, matrix.col_labels
+    if not ups or downs is None:
+        return None
+    try:
+        region = TriangularRegion(ups[0].degree() + 1, frozenset(ups), frozenset(downs))
+    except ValueError:
+        return None
+    return region if biadjacency(region) == matrix else None
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:

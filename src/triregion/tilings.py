@@ -4,7 +4,10 @@ A lozenge pairs a downward triangle with an adjacent upward triangle, so a
 tiling of a region is a perfect matching between its down and up labels
 under the relation "up = variable * down".  Three independent routes decide
 tileability: augmenting-path matching, the no-heavy-subregion criterion,
-and exhaustive enumeration.
+and exhaustive enumeration.  The exact count in polynomial time is
+``permanent(biadjacency(region))``: the lozenge graph is planar, and the
+signs that make its determinant count the tilings (a Kasteleyn signing)
+are read off the region's holes here, next to the adjacency they sign.
 """
 
 from __future__ import annotations
@@ -80,6 +83,110 @@ def _adjacency(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial]
         near = (up_index.get((a + 1, b, c)), up_index.get((a, b + 1, c)), up_index.get((a, b, c + 1)))
         neighbors.append(tuple(k for k in near if k is not None))
     return downs, ups, neighbors
+
+
+def _root(parent: dict, v):
+    """Union-find root of ``v``, halving the path; an unseen ``v`` is its own root."""
+    parent.setdefault(v, v)
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _triples(j: int):
+    """Exponent triples of degree j."""
+    return ((j - b - c, b, c) for c in range(j + 1) for b in range(j - c + 1))
+
+
+def _kasteleyn_flips(region: TriangularRegion) -> set[tuple[int, int, int]]:
+    """Down labels, as exponent triples, whose z-lozenge is negated in a
+    Kasteleyn signing K of the region's bi-adjacency matrix.
+
+    The lozenge graph is planar and bipartite, so |det K| is the number of
+    tilings once every bounded face of length 2k of every component has
+    k - 1 negative edges mod 2 (Kasteleyn 1963; Kuperberg, "An exploration
+    of the permanent-determinant method", 1998).  The faces are read off
+    the lattice, whose vertices are the degree-d triples: up label m has the
+    vertices mx, my, mz, down label mu has mu*xy, mu*xz, mu*yz, and a
+    lozenge crosses the lattice edge its two triangles share.  A vertex with
+    all six triangles present is a hexagonal face, right with all signs +1.
+    Every other bounded face is a hole: a class of removed triangles,
+    joined when they share a vertex, with no vertex on the boundary (a zero
+    exponent).  Its face belongs to the component of the lozenge that
+    crosses the edge from P0, the hole vertex least in lexicographic order
+    (so of least x-exponent), towards P0 - x + y; components inside the
+    hole (islands) see it as their outer face.  Its length 2k counts that
+    component's lozenges once per end of the crossed edge that is a hole
+    vertex.  A face of the wrong parity is mended by negating the
+    z-lozenges across the lattice ray P0 -> P0 - x + y -> ... to the
+    boundary: of its own face the ray crosses only the first edge, it
+    crosses every hexagon twice, and it never reaches a vertex of a hole
+    with a larger P0, so holes are mended in descending order of P0.
+    """
+    up = {m.exponents() for m in region.up_labels}
+    down = {m.exponents() for m in region.down_labels}
+    # Components of the lozenge graph, by their down labels; an up label
+    # with no down neighbour is a component of its own.
+    component: dict = {mu: mu for mu in down}
+    lozenges, components = 0, len(down)
+    for a, b, c in up:
+        near = [mu for mu in ((a - 1, b, c), (a, b - 1, c), (a, b, c - 1)) if mu in down]
+        lozenges += len(near)
+        components += not near
+        for mu in near[1:]:
+            first, root = _root(component, near[0]), _root(component, mu)
+            components -= first != root
+            component[root] = first
+    # A plane graph has E - V + C bounded faces.  Each is a hexagon, around
+    # the vertex mu*xy of one down label mu with all six triangles present,
+    # or a hole; most regions have none, and no hole search is needed.
+    hexagons = sum(
+        1 for a, b, c in down
+        if (a, b + 1, c - 1) in down and (a + 1, b, c - 1) in down
+        and (a, b + 1, c) in up and (a + 1, b, c) in up and (a + 1, b + 1, c - 1) in up
+    )
+    if lozenges - len(up) - len(down) + components == hexagons:
+        return set()
+    # Join the vertices of each removed triangle; () stands for the boundary.
+    d = region.d
+    removed = [((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
+               for a, b, c in _triples(d - 1) if (a, b, c) not in up]
+    removed += [((a + 1, b + 1, c), (a + 1, b, c + 1), (a, b + 1, c + 1))
+                for a, b, c in _triples(d - 2) if (a, b, c) not in down]
+    vertex_root: dict = {(): ()}
+    for triangle in removed:
+        first, *rest = (_root(vertex_root, v if all(v) else ()) for v in triangle)
+        for root in rest:
+            vertex_root[root] = first
+    outside = _root(vertex_root, ())
+    holes: dict = {}
+    for v in list(vertex_root):
+        root = _root(vertex_root, v)
+        if root != outside:
+            holes.setdefault(root, []).append(v)
+    flips: set[tuple[int, int, int]] = set()
+    for vertices in sorted(holes.values(), key=min, reverse=True):
+        a0, b0, c0 = min(vertices)
+        enclosing = _root(component, (a0 - 1, b0, c0 - 1))
+        sides = negative = 0
+        for a, b, c in vertices:
+            # The six lozenges whose crossed edge ends at (a, b, c), as
+            # (down, up, is a z-lozenge); (a, b, c) is down * xy, xz or yz.
+            xy, xz, yz = (a - 1, b - 1, c), (a - 1, b, c - 1), (a, b - 1, c - 1)
+            for mu, nu, z in (
+                (xy, (a, b - 1, c), False), (xy, (a - 1, b, c), False),
+                (xz, (a, b, c - 1), False), (xz, (a - 1, b, c), True),
+                (yz, (a, b, c - 1), False), (yz, (a, b - 1, c), True),
+            ):
+                if mu in down and nu in up and _root(component, mu) == enclosing:
+                    sides += 1
+                    negative += z and mu in flips
+        if (negative + sides // 2) % 2 == 0:
+            for t in range(a0):
+                mu = (a0 - 1 - t, b0 + t, c0 - 1)
+                if mu in down and (a0 - 1 - t, b0 + t, c0) in up:
+                    flips ^= {mu}
+    return flips
 
 
 def find_tiling(region: TriangularRegion) -> Tiling | None:
@@ -186,14 +293,17 @@ def _count_perfect_matchings(
 
 
 def enumerate_tilings(region: TriangularRegion, cap: int = ENUMERATION_CAP) -> TilingCount:
-    """Exact number of tilings by backtracking with forced-move propagation.
+    """Number of tilings by backtracking with forced-move propagation.
 
     Each tiling is a perfect matching of down labels to adjacent up labels;
     the down label with the fewest free neighbours is placed first, which
     makes forced chains linear, and the search keeps its own stack, so no
     region is too deep for it.  When the count passes ``cap`` the search
     stops and the result is flagged as a lower bound instead of silently
-    truncating.
+    truncating.  The cap bounds the count, not the time: the search is
+    exponential in general and can spend long in dead ends before it finds
+    ``cap`` tilings.  ``permanent(biadjacency(region))`` gives the exact
+    count in polynomial time.
     """
     if cap < 1:
         raise ValueError("cap must be positive")

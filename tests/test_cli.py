@@ -54,13 +54,17 @@ class TestVerdictCommands:
         assert code == 0
         assert json.loads(out) == {"count": "2", "exact": True}
 
-    def test_count_with_cap(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "--ideal", "x^4,y^4,z^4", "--degree", "6", "--cap", "5"
-        )
+    def test_count_hexagon(self, capsys):
+        # MacMahon(2, 2, 2); the count is always exact, so there is no --cap
+        code, out, _ = run(capsys, "count", "--ideal", "x^4,y^4,z^4", "--degree", "6")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["exact"] is False
+        assert json.loads(out) == {"count": "20", "exact": True}
+        assert run(capsys, "count", "--ideal", "x^4,y^4,z^4", "--degree", "6", "--cap", "5")[0] == 1
+
+    def test_count_unbalanced_region(self, capsys):
+        code, out, _ = run(capsys, "count", "--ideal", "x^2,y^2,z^3", "--degree", "3")
+        assert code == 0
+        assert json.loads(out) == {"count": "0", "exact": True}
 
     def test_semistable(self, capsys):
         code, out, _ = run(
