@@ -214,7 +214,7 @@ def permanent(matrix: IntegerMatrix) -> int:
         raise ValueError("permanent requires a 0/1 matrix")
     region = _labelled_region(matrix) if matrix.rows >= _COUNTER_ORDER else None
     if region is None:
-        return _count_perfect_matchings([frozenset(j for j, _ in row) for row in rows]).count
+        return _count_perfect_matchings([tuple(j for j, _ in row) for row in rows]).count
     flips = _kasteleyn_flips(region)
     if flips:
         # A down label's z-neighbour is the last entry of its row (x, y, z order).
@@ -227,8 +227,9 @@ def permanent(matrix: IntegerMatrix) -> int:
 
 
 def _labelled_region(matrix: IntegerMatrix) -> TriangularRegion | None:
-    """The region whose ``biadjacency`` is exactly this matrix, labels and
-    their order included, or None."""
+    """The region whose ``biadjacency`` is exactly this 0/1 matrix, labels
+    and their order included, or None.  The rows are compared with the
+    region's adjacency as they stand; no second matrix is built."""
     downs, ups = matrix.row_labels, matrix.col_labels
     if not ups or downs is None:
         return None
@@ -236,7 +237,13 @@ def _labelled_region(matrix: IntegerMatrix) -> TriangularRegion | None:
         region = TriangularRegion(ups[0].degree() + 1, frozenset(ups), frozenset(downs))
     except ValueError:
         return None
-    return region if biadjacency(region) == matrix else None
+    sorted_downs, sorted_ups, neighbors = _adjacency(region)
+    same = (
+        tuple(sorted_downs) == downs
+        and tuple(sorted_ups) == ups
+        and neighbors == [tuple(j for j, _ in row) for row in matrix.row_entries]
+    )
+    return region if same else None
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from triregion import (
     IntegerMatrix,
+    TriangularRegion,
+    X,
     biadjacency,
     build_region,
     convenient_family,
@@ -20,7 +22,7 @@ from triregion import (
     permanent,
     rank,
 )
-from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime
+from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime, _labelled_region
 from conftest import (
     fraction_determinant,
     fraction_rank,
@@ -256,6 +258,39 @@ class TestPermanent:
     def test_non_zero_one_rejected(self, M):
         with pytest.raises(ValueError, match="0/1"):
             permanent(M)
+
+    def test_labelled_region_is_exact_biadjacency(self):
+        # accepted exactly when the matrix is the bi-adjacency matrix of the
+        # region its labels name, labels and their order included
+        def oracle(M):
+            try:
+                region = TriangularRegion(M.col_labels[0].degree() + 1,
+                                          frozenset(M.col_labels), frozenset(M.row_labels))
+            except ValueError:
+                return False
+            return biadjacency(region) == M
+
+        rng = random.Random(113)
+        accepted = 0
+        for _ in range(80):
+            Z = biadjacency(build_region(*random_artinian_ideal(rng)))
+            if not Z.col_labels or not Z.row_labels:
+                continue
+            rows, downs, ups = Z.row_entries, Z.row_labels, Z.col_labels
+            variants = [
+                Z,
+                replace(Z, row_entries=rows[1:] + rows[:1]),
+                replace(Z, row_entries=(rows[0][1:],) + rows[1:]),
+                replace(Z, row_labels=downs[1:] + downs[:1], row_entries=rows[1:] + rows[:1]),
+                replace(Z, row_labels=tuple(m * X for m in downs)),
+                replace(Z, col_labels=ups[-1:] + ups[:-1]),
+                replace(Z, row_labels=downs[:1] * len(downs)),
+            ]
+            for M in variants:
+                found = _labelled_region(M)
+                assert (found is not None) == oracle(M)
+                accepted += found is not None
+        assert accepted > 0
 
     def test_determinant_bounded_by_permanent(self):
         rng = random.Random(89)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triregion import (
     Balance,
@@ -14,6 +16,7 @@ from triregion import (
     Monomial,
     MonomialIdeal,
     Tiling,
+    TilingCount,
     build_region,
     enumerate_tilings,
     find_tiling,
@@ -24,6 +27,7 @@ from triregion import (
     two_of_three,
     validate_tiling,
 )
+from triregion.tilings import _count_perfect_matchings
 from conftest import artinian_regions, hexagon, macmahon, random_artinian_ideal
 
 
@@ -81,6 +85,42 @@ class TestFindTiling:
             sys.setrecursionlimit(limit)
         validate_tiling(region, tiling)
 
+    def test_parallelogram_single_tiling(self):
+        # (32, 32, 0) parallelogram at d = 64: every lozenge is forced, and
+        # its one tiling pairs each down label mu with mu * z
+        region = build_region(parse_ideal("x^32, y^32, z^64"), 64)
+        tiling = find_tiling(region)
+        validate_tiling(region, tiling)
+        assert tiling.lozenges == {Lozenge(mu, mu * m(0, 0, 1)) for mu in region.down_labels}
+
+    # Three regions with more than one tiling; the lozenges found are pinned.
+    PINNED_TILINGS = {
+        ("x^4, y^4, z^4", 6): [  # hexagon (2, 2, 2): 20 tilings
+            ("x^3*y", "x^3*y^2"), ("x^2*y^2", "x^2*y^3"), ("x*y^3", "x*y^3*z"),
+            ("x^3*z", "x^3*y*z"), ("x^2*y*z", "x^2*y^2*z"), ("x*y^2*z", "x*y^2*z^2"),
+            ("y^3*z", "y^3*z^2"), ("x^2*z^2", "x^3*z^2"), ("x*y*z^2", "x^2*y*z^2"),
+            ("y^2*z^2", "y^2*z^3"), ("x*z^3", "x^2*z^3"), ("y*z^3", "x*y*z^3"),
+        ],
+        ("x^3, y^3, z^3, xyz", 4): [  # a hole: 2 tilings
+            ("x^2", "x^2*y"), ("x*y", "x*y^2"), ("y^2", "y^2*z"),
+            ("x*z", "x^2*z"), ("y*z", "y*z^2"), ("z^2", "x*z^2"),
+        ],
+        ("x^4, y^5, z^5, x^2yz", 6): [  # 5 tilings
+            ("x^3*y", "x^3*y^2"), ("x^2*y^2", "x^2*y^3"), ("x*y^3", "x*y^4"),
+            ("y^4", "y^4*z"), ("x^3*z", "x^3*z^2"), ("x*y^2*z", "x*y^3*z"),
+            ("y^3*z", "y^3*z^2"), ("x^2*z^2", "x^2*z^3"), ("x*y*z^2", "x*y^2*z^2"),
+            ("y^2*z^2", "y^2*z^3"), ("x*z^3", "x*y*z^3"), ("y*z^3", "y*z^4"),
+            ("z^4", "x*z^4"),
+        ],
+    }
+
+    @pytest.mark.parametrize("text, d", list(PINNED_TILINGS))
+    def test_pinned_tiling_json(self, text, d):
+        region = build_region(parse_ideal(text), d)
+        assert enumerate_tilings(region).count > 1
+        payload = tiling_json(find_tiling(region))
+        assert [(e["down"], e["up"]) for e in payload] == self.PINNED_TILINGS[(text, d)]
+
 
 class TestEnumerate:
     def test_hexagon_two_tilings(self):
@@ -114,6 +154,11 @@ class TestEnumerate:
         assert result.count == 6
         assert enumerate_tilings(region, cap=20) == (20, True)
 
+    def test_capped_large_hexagon_returns(self):
+        # the d = 21 hexagon has MacMahon(7, 7, 7), about 3.9e16, tilings
+        region = build_region(parse_ideal("x^14, y^14, z^14"), 21)
+        assert enumerate_tilings(region, cap=1000) == TilingCount(1001, False)
+
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
             enumerate_tilings(build_region(parse_ideal("x,y,z"), 2), cap=0)
@@ -129,6 +174,36 @@ class TestEnumerate:
                     for g in ideal.generators
                 )
                 assert enumerate_tilings(build_region(permuted, d)).count == base
+
+
+def brute_force_matchings(rows: list[tuple[int, ...]]) -> int:
+    n = len(rows)
+    return sum(all(p[i] in rows[i] for i in range(n)) for p in permutations(range(n)))
+
+
+@st.composite
+def square_candidates(draw):
+    n = draw(st.integers(0, 7))
+    return [tuple(sorted(draw(st.sets(st.integers(0, n - 1))))) for _ in range(n)]
+
+
+class TestMatchingCounter:
+    """The forced-pair counter against the permutation expansion."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(square_candidates(), st.sampled_from([1, 2, 3, None]))
+    def test_matches_brute_force(self, rows, cap):
+        exact = brute_force_matchings(rows)
+        expected = (exact, True) if cap is None or exact <= cap else (cap + 1, False)
+        assert _count_perfect_matchings(rows, cap) == expected
+
+    def test_empty_problem_has_one_matching(self):
+        assert _count_perfect_matchings([]) == (1, True)
+
+    def test_full_matrix(self):
+        rows = [tuple(range(6))] * 6
+        assert _count_perfect_matchings(rows) == (720, True)
+        assert _count_perfect_matchings(rows, cap=100) == (101, False)
 
 
 class TestStructural:
