@@ -8,15 +8,20 @@ for monomial ideals in characteristic zero this single choice is complete.
 Ranks come from ``matrices.rank``: full rank modulo the prime 2^61 - 1
 proves full rank over Q, and anything less is recomputed modulo a prime
 above Hadamard's bound, where the rank mod p is the rank over Q, so every
-verdict is exact.  Once the map by x+y+z is onto some degree it is onto
-every later degree, so ``has_wlp`` computes no rank past the first
-surjective degree.
+verdict is exact.  ``has_wlp`` computes ranks only where the map can fail.
+While some variable divides no generator of degree below d, the map into
+degree d-1 is one-to-one (Migliore, Miro-Roig and Nagel, Trans. AMS 2011,
+Prop. 2.1), so no rank is computed in that injective prefix.  Once the map
+is onto some degree it is onto every later degree, so none is computed
+past the first surjective degree either.  Every Hilbert value the scan
+needs comes from one staircase of the ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import monomials
 from .matrices import biadjacency, rank
 from .monomials import Monomial, MonomialIdeal, _check_degree
 from .regions import build_region
@@ -80,21 +85,49 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     The scan short-circuits at the first non-maximal degree but still
     reports every record computed on the way.  Termination is guaranteed
     for Artinian ideals because the Hilbert function eventually vanishes.
+    Ranks are computed only between an injective prefix and a surjective
+    suffix, where the map by l = x+y+z can fail; both ends are filled in
+    from the Hilbert function without building a matrix, and their records
+    equal what ``wlp_in_degree`` would return.
 
-    Once a record has ``rank == cols``, multiplication by l = x+y+z maps
-    A_{d-2} onto A_{d-1}; then A_d = A_1*A_{d-1} = A_1*l*A_{d-2} lies in
-    l*A_{d-1}, so every later map is onto as well.  Those later records
-    are filled in from the Hilbert function without building a matrix, and
-    they equal what ``wlp_in_degree`` would return.
+    Injective prefix: let e_v be the least degree of a generator divisible
+    by the variable v, and let d <= max_v e_v.  Then some v, say z, divides
+    no generator of degree <= d-1, so the ideal J those generators span is
+    extended from K[x,y] and R/J = (K[x,y]/J')[z].  There l is monic in z,
+    hence a nonzerodivisor, in every characteristic.  I and J agree in
+    degrees <= d-1, so l: A_{d-2} -> A_{d-1} is one-to-one: its rank is
+    rows = h(d-2).
+
+    Surjective suffix: once a record has ``rank == cols``, l maps A_{d-2}
+    onto A_{d-1}; then A_d = A_1*A_{d-1} = A_1*l*A_{d-2} lies in
+    l*A_{d-1}, so every later map is onto as well: its rank is cols.
+
+    All Hilbert values come from one staircase tabulated through degree
+    A+B+C-2, where x^A, y^B, z^C are the pure powers and the quotient is
+    zero, or through ``DEGREE_CAP`` if that is lower; every side is checked
+    against the cap before its record is made.
     """
     ideal.require_artinian()
+    gens = ideal.generators
+    injective_through = max(
+        min((g.degree() for g in gens if g.exponents()[v]), default=0) for v in range(3)
+    )
+    vanishing = sum(g.degree() for g in gens if g.is_pure_power()) - 2
+    values = ideal._hilbert_values(min(max(vanishing, 0), monomials.DEGREE_CAP))
+
+    def h(j: int) -> int:
+        return values[j] if 0 <= j < len(values) else 0
+
     records: list[DegreeRecord] = []
     d = 0
     while True:
         d += 1
+        _check_degree(d)
+        rows, cols = h(d - 2), h(d - 1)
         if records and records[-1].rank == records[-1].cols:
-            rows, cols = records[-1].cols, ideal.hilbert_function(d - 1)
             record = DegreeRecord(d=d, rows=rows, cols=cols, rank=cols, maximal=True)
+        elif d <= injective_through:
+            record = DegreeRecord(d=d, rows=rows, cols=cols, rank=rows, maximal=True)
         else:
             record = wlp_in_degree(ideal, d)
         records.append(record)

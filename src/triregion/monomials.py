@@ -3,17 +3,18 @@
 Everything here is exact integer arithmetic on exponent triples.  An ideal
 is stored by its minimal generators; membership and colon ideals are
 divisibility computations on those triples.  Standard monomials and Hilbert
-functions are read off the ideal's staircase in one degree, built per call
-from the generators in time proportional to the number of monomials of that
-degree, and socle degrees follow from them.  All values are immutable, so
-they are safe to share across threads.
+functions are read off the ideal's staircase, built per call from the
+generators in time proportional to the number of monomials of the highest
+degree asked for; one staircase serves a single degree or a whole run of
+Hilbert values, and socle degrees follow from them.  All values are
+immutable, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, Iterator
 
 VARIABLES = ("x", "y", "z")
@@ -181,33 +182,56 @@ class MonomialIdeal:
             g.lcm(m).divide_by(m) for g in self.generators
         )
 
-    def _standard_flags(self, j: int) -> list[bool]:
-        """For each monomial of ``monomials_of_degree(j)``, whether it is standard.
+    def _staircase(self, n: int) -> list[list[int]]:
+        """The staircase h[c][b], for b + c <= n, of the ideal.
 
-        The staircase h[c][b] is the least a with x^a y^b z^c in the ideal,
-        capped at j + 1: each generator with b + c <= j sets its own cell,
-        and prefix minima over b, then over c, extend it to every multiple.
-        x^a y^b z^c is standard iff a < h[c][b], for every ideal, Artinian
-        or not.  Rows run over c and cells over b, the order of
-        ``monomials_of_degree``.  The table costs O(j^2) and lives for one call.
+        h[c][b] is the least a with x^a y^b z^c in the ideal, capped at
+        n + 1: each generator with b + c <= n sets its own cell, and prefix
+        minima over b, then over c, extend it to every multiple.  So
+        x^a y^b z^c with a + b + c <= n is standard iff a < h[c][b], for
+        every ideal, Artinian or not.  Rows run over c and cells over b, the
+        order of ``monomials_of_degree``.  The table costs O(n^2).
         """
-        h = [[j + 1] * (j + 1 - c) for c in range(j + 1)]
+        h = [[n + 1] * (n + 1 - c) for c in range(n + 1)]
         for g in self.generators:
-            if g.b + g.c <= j and g.a < h[g.c][g.b]:
+            if g.b + g.c <= n and g.a < h[g.c][g.b]:
                 h[g.c][g.b] = g.a
-        flags: list[bool] = []
         above: list[int] = []
-        for c, row in enumerate(h):
-            least = j + 1
+        for row in h:
+            least = n + 1
             for b, a in enumerate(row):
                 if a < least:
                     least = a
                 if above and above[b] < least:
                     least = above[b]
                 row[b] = least
-                flags.append(j - b - c < least)
             above = row
-        return flags
+        return h
+
+    def _standard_flags(self, j: int) -> list[bool]:
+        """For each monomial of ``monomials_of_degree(j)``, whether it is standard."""
+        return [
+            j - b - c < a
+            for c, row in enumerate(self._staircase(j))
+            for b, a in enumerate(row)
+        ]
+
+    def _hilbert_values(self, n: int) -> list[int]:
+        """``[hilbert_function(j) for j in range(n + 1)]`` from one staircase.
+
+        Cell (b, c) of the staircase stands for the standard monomials
+        x^a y^b z^c with a < h[c][b], one in each degree from b + c up to
+        b + c + h[c][b] - 1, so a difference array over those degree ranges
+        sums to the Hilbert function in O(n^2) for all n + 1 degrees.
+        """
+        _check_degree(n)
+        diff = [0] * (n + 2)
+        for c, row in enumerate(self._staircase(n)):
+            for b, a in enumerate(row):
+                if a:
+                    diff[b + c] += 1
+                    diff[min(b + c + a, n + 1)] -= 1
+        return list(accumulate(diff[:-1]))
 
     def hilbert_function(self, j: int) -> int:
         """Number of degree-j monomials outside the ideal (0 for j < 0)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .monomials import Monomial, MonomialIdeal, VARIABLE_MONOMIALS, monomials_of_degree, revlex_key
+from .monomials import Monomial, MonomialIdeal, monomials_of_degree, revlex_key
 from .regions import (
     Balance,
     TriangularRegion,
@@ -28,6 +28,9 @@ from .regions import (
 #: Default ceiling for exhaustive enumeration.
 ENUMERATION_CAP = 1_000_000
 
+#: The exponent steps from a lozenge's down label to its up label.
+_VARIABLE_STEPS = frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1)})
+
 
 @dataclass(frozen=True, slots=True)
 class Lozenge:
@@ -37,7 +40,8 @@ class Lozenge:
     up_label: Monomial
 
     def __post_init__(self):
-        if all(self.down_label * v != self.up_label for v in VARIABLE_MONOMIALS):
+        up, down = self.up_label, self.down_label
+        if (up.a - down.a, up.b - down.b, up.c - down.c) not in _VARIABLE_STEPS:
             raise ValueError(
                 f"{self.up_label} is not adjacent to {self.down_label}"
             )

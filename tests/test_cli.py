@@ -149,6 +149,18 @@ class TestErrors:
         assert "cap" in json.loads(err)["error"]["message"]
         assert computed == []
 
+    def test_wlp_degree_cap(self, capsys, monkeypatch):
+        import triregion.monomials
+
+        monkeypatch.setattr(triregion.monomials, "DEGREE_CAP", 20)
+        code, out, err = run(capsys, "wlp", "--ideal", "x^30, y^30, z^30")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "degree 21 exceeds the safety cap 20",
+        }
+
     @pytest.mark.parametrize("unit", ["nan", "inf", "-inf", "0"])
     def test_render_unit_must_be_finite_positive(self, capsys, tmp_path, unit):
         target = tmp_path / "never.svg"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triregion import (
     Balance,
@@ -22,7 +24,8 @@ from triregion import (
     truncate,
     wlp_in_degree,
 )
-from triregion.matrices import _exact_prime
+from triregion import lefschetz, monomials
+from triregion.matrices import _exact_prime, rank
 from conftest import fraction_rank, random_artinian_ideal
 
 
@@ -131,25 +134,82 @@ def degrees_past_surjective(report):
     return report.scanned_through - first
 
 
+def degrees_in_injective_prefix(ideal, report):
+    """Sides d where some variable divides no generator of degree below d."""
+    return sum(
+        1 for r in report.records
+        if any(all(g.exponents()[v] == 0 for g in ideal.generators if g.degree() < r.d)
+               for v in range(3))
+    )
+
+
+@st.composite
+def scan_ideals(draw):
+    """Small Artinian ideals: pure powers only, pure powers plus generators
+    free of one variable (which then appears only in its pure power), or
+    pure powers plus arbitrary generators."""
+    powers = [draw(st.integers(1, 7)) for _ in range(3)]
+    gens = [Monomial(powers[0], 0, 0), Monomial(0, powers[1], 0), Monomial(0, 0, powers[2])]
+    kind = draw(st.sampled_from(("pure", "lonely", "mixed")))
+    if kind != "pure":
+        lonely = draw(st.integers(0, 2)) if kind == "lonely" else None
+        for exps in draw(st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=4)):
+            gens.append(Monomial(*(0 if v == lonely else e for v, e in enumerate(exps))))
+    return MonomialIdeal.from_generators(gens)
+
+
 class TestRecordsPastSurjectivity:
-    """``has_wlp`` fills in the records after the first surjective degree
-    without computing ranks; they must equal the degreewise records."""
+    """``has_wlp`` fills in the records of the injective prefix and of the
+    degrees after the first surjective one without computing ranks; they
+    must equal the degreewise records."""
 
     def test_corpus(self, corpus):
-        skipped = 0
+        skipped = prefix = 0
         for ideal, _ in corpus:
             report = has_wlp(ideal)
             assert report.records == degreewise_records(ideal, report.scanned_through)
             skipped += degrees_past_surjective(report)
+            prefix += degrees_in_injective_prefix(ideal, report)
         assert skipped >= 500
+        assert prefix >= 2000
 
-    @pytest.mark.parametrize("t, d", [(4, 13), (4, 17), (8, 13), (8, 17)])
+    @pytest.mark.parametrize("t, d", [(t, d) for t in (4, 6, 8) for d in (13, 17, 21, 25)])
     def test_convenient_family(self, t, d):
         ideal = convenient_family(t, d)
         report = has_wlp(ideal)
         assert report.verdict
         assert degrees_past_surjective(report) >= 10
+        assert degrees_in_injective_prefix(ideal, report) == d - 2
         assert report.records == degreewise_records(ideal, report.scanned_through)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(scan_ideals())
+    @example(parse_ideal("x^7, y^7, z^7"))
+    @example(parse_ideal("x^3, y^3, z^3, xy"))
+    @example(parse_ideal("x, y, z"))
+    def test_random_ideals(self, ideal):
+        report = has_wlp(ideal)
+        assert report.records == degreewise_records(ideal, report.scanned_through)
+
+    def test_ranks_only_between_prefix_and_suffix(self, monkeypatch):
+        # e_x = 12 and e_y = e_z = 23, so sides 1-23 are injective; the map
+        # first becomes surjective at side 25, so only sides 24 and 25 need
+        # a rank
+        ranked = []
+        monkeypatch.setattr(lefschetz, "rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+        report = has_wlp(convenient_family(8, 25))
+        assert report.verdict and report.scanned_through == 48
+        assert len(ranked) == 2
+        assert [(m.rows, m.cols) for m in ranked] == [
+            (r.rows, r.cols) for r in report.records if r.d in (24, 25)
+        ]
+
+    def test_degree_cap_checked_on_every_side(self, monkeypatch):
+        # every side up to 30 lies in the injective prefix, and none of them
+        # builds a region, yet side 21 must still hit the cap
+        monkeypatch.setattr(monomials, "DEGREE_CAP", 20)
+        with pytest.raises(ValueError, match="degree 21 exceeds the safety cap 20"):
+            has_wlp(parse_ideal("x^30, y^30, z^30"))
 
 
 class TestDisjointPuncturesSquareIdeal:

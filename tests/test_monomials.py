@@ -19,6 +19,7 @@ from triregion import (
     parse_ideal,
     revlex_key,
 )
+from conftest import artinian_ideals
 
 
 def m(a, b, c):
@@ -270,6 +271,31 @@ class TestHilbert:
             scan = [mono for mono in monomials_of_degree(j) if not ideal.contains(mono)]
             assert ideal.standard_monomials(j) == scan
             assert ideal.hilbert_function(j) == len(scan)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=8).map(
+                lambda exps: MonomialIdeal.from_generators(m(*e) for e in exps)
+            ),
+            artinian_ideals().map(lambda drawn: drawn[0]),
+        ),
+        st.integers(0, 60),
+    )
+    @example(MonomialIdeal(()), 0)
+    @example(MonomialIdeal((ONE,)), 3)
+    @example(parse_ideal("x^12, y^12, z^12"), 40)
+    def test_hilbert_values_match_hilbert_function(self, ideal, n):
+        # n often lies past the socle of Artinian draws, whose values there are 0
+        assert ideal._hilbert_values(n) == [ideal.hilbert_function(j) for j in range(n + 1)]
+
+    def test_hilbert_values_vanish_past_socle(self, monkeypatch):
+        ideal = parse_ideal("x^2, y^2, z^2")
+        assert ideal._hilbert_values(6) == [1, 3, 3, 1, 0, 0, 0]
+        monkeypatch.setattr(triregion.monomials, "DEGREE_CAP", 5)
+        with pytest.raises(ValueError, match="cap"):
+            ideal._hilbert_values(6)
 
 
 class TestSocle:

@@ -264,8 +264,23 @@ class TestLozenge:
     def test_shared_edge_invariant(self):
         with pytest.raises(ValueError):
             Lozenge(m(1, 0, 0), m(3, 0, 0))
+        # one degree apart, but y^2 is no variable times x
+        with pytest.raises(ValueError, match="not adjacent"):
+            Lozenge(m(1, 0, 0), m(0, 2, 0))
         loz = Lozenge(m(1, 0, 0), m(1, 1, 0))
         assert str(loz.direction()) == "y"
+
+    def test_accepts_exactly_variable_multiples(self):
+        # every pair of exponent triples in {0, 1, 2}^3 against up = v * down
+        triples = [m(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        for down in triples:
+            for up in triples:
+                adjacent = any(down * v == up for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1)))
+                if adjacent:
+                    assert Lozenge(down, up).direction() == up.divide_by(down)
+                else:
+                    with pytest.raises(ValueError, match="not adjacent"):
+                        Lozenge(down, up)
 
     def test_validate_rejects_foreign_tiling(self):
         region = build_region(parse_ideal("xy, y^2, z^3"), 4)
