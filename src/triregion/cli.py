@@ -21,7 +21,7 @@ import sys
 from .families import FIFTH_GENERATOR_NOTE, FamilySpec, convenient_family, example_family
 from .lefschetz import has_wlp
 from .matrices import biadjacency, determinant, matrix_json, permanent, rank
-from .monomials import IdealSyntaxError, _check_degree, parse_ideal
+from .monomials import IdealSyntaxError, parse_ideal
 from .regions import TriangularRegion, build_region, region_json, triangle_counts
 from .render import RenderOptions, region_svg, tiling_svg
 from .stability import criterion_check, decide_semistability
@@ -43,11 +43,10 @@ def _hilbert(args: argparse.Namespace) -> dict:
     ideal = parse_ideal(args.ideal)
     if args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
-    _check_degree(args.max_degree)
+    values = ideal._hilbert_values(args.max_degree)
     return {
         "ideal": str(ideal),
-        "values": [{"degree": j, "value": ideal.hilbert_function(j)}
-                   for j in range(args.max_degree + 1)],
+        "values": [{"degree": j, "value": v} for j, v in enumerate(values)],
     }
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import monomials
 from .matrices import biadjacency, rank
 from .monomials import Monomial, MonomialIdeal, _check_degree
 from .regions import build_region
@@ -102,18 +101,15 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     onto A_{d-1}; then A_d = A_1*A_{d-1} = A_1*l*A_{d-2} lies in
     l*A_{d-1}, so every later map is onto as well: its rank is cols.
 
-    All Hilbert values come from one staircase tabulated through degree
-    A+B+C-2, where x^A, y^B, z^C are the pure powers and the quotient is
-    zero, or through ``DEGREE_CAP`` if that is lower; every side is checked
-    against the cap before its record is made.
+    All Hilbert values come from one staircase through ``_quotient_degree``;
+    every side is checked against the cap before its record is made.
     """
     ideal.require_artinian()
     gens = ideal.generators
     injective_through = max(
         min((g.degree() for g in gens if g.exponents()[v]), default=0) for v in range(3)
     )
-    vanishing = sum(g.degree() for g in gens if g.is_pure_power()) - 2
-    values = ideal._hilbert_values(min(max(vanishing, 0), monomials.DEGREE_CAP))
+    values = ideal._hilbert_values(ideal._quotient_degree())
 
     def h(j: int) -> int:
         return values[j] if 0 <= j < len(values) else 0

@@ -2,19 +2,19 @@
 
 Everything here is exact integer arithmetic on exponent triples.  An ideal
 is stored by its minimal generators; membership and colon ideals are
-divisibility computations on those triples.  Standard monomials and Hilbert
-functions are read off the ideal's staircase, built per call from the
-generators in time proportional to the number of monomials of the highest
-degree asked for; one staircase serves a single degree or a whole run of
-Hilbert values, and socle degrees follow from them.  All values are
-immutable, so they are safe to share across threads.
+divisibility computations on those triples.  Standard monomials, Hilbert
+functions and socle degrees are all read off one staircase per call, built
+from the generators in O(n^2) for the highest degree n asked for: a monomial
+is standard when its x-exponent lies below the staircase, and the socle sits
+at the staircase's outer corners.  All values are immutable, so they are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 VARIABLES = ("x", "y", "z")
@@ -96,7 +96,6 @@ ONE = Monomial(0, 0, 0)
 X = Monomial(1, 0, 0)
 Y = Monomial(0, 1, 0)
 Z = Monomial(0, 0, 1)
-VARIABLE_MONOMIALS = (X, Y, Z)
 
 
 def revlex_key(m: Monomial) -> tuple[int, int, int]:
@@ -208,13 +207,17 @@ class MonomialIdeal:
             above = row
         return h
 
-    def _standard_flags(self, j: int) -> list[bool]:
-        """For each monomial of ``monomials_of_degree(j)``, whether it is standard."""
-        return [
-            j - b - c < a
-            for c, row in enumerate(self._staircase(j))
-            for b, a in enumerate(row)
-        ]
+    def _standard_in(self, *degrees: int) -> list[list[Monomial]]:
+        """The standard monomials of each degree, in descending revlex order,
+        all read off one staircase through the highest of the degrees."""
+        h = self._staircase(max(degrees))
+        return [[m for m in monomials_of_degree(j) if m.a < h[m.c][m.b]] for j in degrees]
+
+    def _quotient_degree(self) -> int:
+        """Where one staircase shows all of an Artinian quotient: A+B+C-2 for
+        the pure powers x^A, y^B, z^C, where it vanishes, capped at ``DEGREE_CAP``."""
+        vanishing = sum(g.degree() for g in self.generators if g.is_pure_power()) - 2
+        return min(max(vanishing, 0), DEGREE_CAP)
 
     def _hilbert_values(self, n: int) -> list[int]:
         """``[hilbert_function(j) for j in range(n + 1)]`` from one staircase.
@@ -235,36 +238,36 @@ class MonomialIdeal:
 
     def hilbert_function(self, j: int) -> int:
         """Number of degree-j monomials outside the ideal (0 for j < 0)."""
-        if j < 0:
-            return 0
-        _check_degree(j)
-        return sum(self._standard_flags(j))
+        return self._hilbert_values(j)[j] if j >= 0 else 0
 
     def standard_monomials(self, j: int) -> list[Monomial]:
         """Degree-j monomials outside the ideal, in descending revlex order."""
         if j < 0:
             raise ValueError(f"degree must be nonnegative, got {j}")
         _check_degree(j)
-        return list(compress(monomials_of_degree(j), self._standard_flags(j)))
+        return self._standard_in(j)[0]
 
     def socle_degrees(self) -> list[int]:
         """Degrees of the monomial socle basis of the quotient, sorted.
 
         A standard monomial m lies in the socle when x*m, y*m and z*m all
-        fall inside the ideal.  Requires an Artinian ideal, otherwise the
-        degreewise search would not terminate.
+        fall inside the ideal: each staircase cell a = h[c][b] above both
+        neighbours h[c][b+1] and h[c+1][b] (0 past the edge) gives the socle
+        monomial x^(a-1) y^b z^c.  The staircase runs through
+        ``_quotient_degree``.  Requires an Artinian ideal; raises
+        ``ValueError`` when the quotient reaches degree ``DEGREE_CAP``, where
+        the cut-off staircase has a corner of degree at least the cap.
         """
         self.require_artinian()
-        degrees: list[int] = []
-        j = 0
-        while True:
-            survivors = self.standard_monomials(j)
-            if not survivors:
-                return degrees
-            for m in survivors:
-                if all(self.contains(m * v) for v in VARIABLE_MONOMIALS):
-                    degrees.append(j)
-            j += 1
+        h = [row + [0] for row in self._staircase(self._quotient_degree())] + [[0]]
+        degrees = sorted(
+            a - 1 + b + c
+            for c, (row, below) in enumerate(zip(h, h[1:]))
+            for b, a in enumerate(row[:-1])
+            if a > row[b + 1] and a > below[b]
+        )
+        _check_degree(min(degrees[-1] if degrees else -1, DEGREE_CAP) + 1)
+        return degrees
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.generators)

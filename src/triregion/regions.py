@@ -86,13 +86,13 @@ class TriangularRegion:
 
 
 def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
-    """The side-d region whose labels are the degree d-1 and d-2 standard monomials."""
+    """The side-d region whose labels are the degree d-1 and d-2 standard
+    monomials, both read off one staircase of the ideal."""
     if d < 1:
         raise ValueError("region side length must be positive")
     _check_degree(d)
-    up = frozenset(ideal.standard_monomials(d - 1))
-    down = frozenset(ideal.standard_monomials(d - 2)) if d >= 2 else frozenset()
-    return TriangularRegion(d, up, down)
+    up, down = ideal._standard_in(d - 1, d - 2)
+    return TriangularRegion(d, frozenset(up), frozenset(down))
 
 
 def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:

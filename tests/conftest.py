@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms: ranks and
 determinants come from Fraction-based Gaussian elimination, permanents from
 permutation expansion, multiplication matrices from direct polynomial
-shifts on standard monomial bases found by a plain divisibility scan, and
-region ideals, structural scans and over-punctured subregions from testing
-every monomial against every label.
+shifts on standard monomial bases found by a plain divisibility scan, socle
+degrees from membership tests degree by degree, and region ideals,
+structural scans and over-punctured subregions from testing every monomial
+against every label.
 """
 
 from __future__ import annotations
@@ -184,6 +185,18 @@ def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:
             if not any(ga <= a and gb <= b and gc <= c for ga, gb, gc in gens):
                 out.append(Monomial(a, b, c))
     return out
+
+
+def socle_by_scan(ideal: MonomialIdeal) -> list[int]:
+    """Socle degrees of an Artinian quotient, degree by degree: every
+    standard monomial m with x*m, y*m and z*m in the ideal, found by
+    ``contains`` until a degree has no standard monomial."""
+    degrees = []
+    j = 0
+    while survivors := [m for m in monomials_of_degree(j) if not ideal.contains(m)]:
+        degrees += [j for m in survivors if all(ideal.contains(m * v) for v in (X, Y, Z))]
+        j += 1
+    return degrees
 
 
 def multiplication_matrix(ideal: MonomialIdeal, d: int) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from triregion import parse_ideal
 from triregion.cli import COMMANDS, main
+from conftest import standard_by_scan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,6 +93,26 @@ class TestVerdictCommands:
         values = [row["value"] for row in json.loads(out)["values"]]
         assert values == [1, 3, 3, 1, 0]
 
+    @pytest.mark.parametrize("text, top", [("x^2,y^2,z^2", 4), ("x^9, y^7, z^5, x^2y^2z^2", 25)])
+    def test_hilbert_matches_scan(self, capsys, text, top):
+        code, out, _ = run(capsys, "hilbert", "--ideal", text, "--max-degree", str(top))
+        assert code == 0
+        ideal = parse_ideal(text)
+        assert json.loads(out) == {
+            "ideal": str(ideal),
+            "values": [{"degree": j, "value": len(standard_by_scan(ideal, j))}
+                       for j in range(top + 1)],
+        }
+
+    def test_hilbert_degree_zero_and_negative(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "--ideal", "x^2,y^2,z^2", "--max-degree", "0")
+        assert (code, json.loads(out)["values"]) == (0, [{"degree": 0, "value": 1}])
+        code, out, err = run(capsys, "hilbert", "--ideal", "x^2,y^2,z^2", "--max-degree", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "--max-degree must be nonnegative",
+        }
+
 
 class TestReadmeExamples:
     def test_every_line_exits_0(self, capsys, tmp_path, monkeypatch):
@@ -135,14 +157,14 @@ class TestErrors:
         import triregion.monomials
 
         computed = []
-        hilbert_function = triregion.monomials.MonomialIdeal.hilbert_function
+        staircase = triregion.monomials.MonomialIdeal._staircase
 
-        def recording(ideal, j):
-            computed.append(j)
-            return hilbert_function(ideal, j)
+        def recording(ideal, n):
+            computed.append(n)
+            return staircase(ideal, n)
 
         monkeypatch.setattr(triregion.monomials, "DEGREE_CAP", 20)
-        monkeypatch.setattr(triregion.monomials.MonomialIdeal, "hilbert_function", recording)
+        monkeypatch.setattr(triregion.monomials.MonomialIdeal, "_staircase", recording)
         code, out, err = run(capsys, "hilbert", "--ideal", "x^2,y^2,z^2", "--max-degree", "21")
         assert code == 2
         assert out == ""

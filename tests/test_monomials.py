@@ -19,7 +19,7 @@ from triregion import (
     parse_ideal,
     revlex_key,
 )
-from conftest import artinian_ideals
+from conftest import artinian_ideals, socle_by_scan, standard_by_scan
 
 
 def m(a, b, c):
@@ -288,7 +288,7 @@ class TestHilbert:
     @example(parse_ideal("x^12, y^12, z^12"), 40)
     def test_hilbert_values_match_hilbert_function(self, ideal, n):
         # n often lies past the socle of Artinian draws, whose values there are 0
-        assert ideal._hilbert_values(n) == [ideal.hilbert_function(j) for j in range(n + 1)]
+        assert ideal._hilbert_values(n) == [len(standard_by_scan(ideal, j)) for j in range(n + 1)]
 
     def test_hilbert_values_vanish_past_socle(self, monkeypatch):
         ideal = parse_ideal("x^2, y^2, z^2")
@@ -335,12 +335,22 @@ class TestSocle:
 
     def test_corpus_matches_contains_scan(self, corpus):
         for ideal, _ in corpus:
-            expected = []
-            j = 0
-            while survivors := [mono for mono in monomials_of_degree(j) if not ideal.contains(mono)]:
-                expected += [
-                    j for mono in survivors
-                    if all(ideal.contains(mono * v) for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1)))
-                ]
-                j += 1
-            assert ideal.socle_degrees() == expected
+            assert ideal.socle_degrees() == socle_by_scan(ideal)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(artinian_ideals().map(lambda drawn: drawn[0]))
+    @example(MonomialIdeal((ONE,)))
+    @example(parse_ideal("x^5, y^3, z^4"))
+    @example(parse_ideal("x, y^7, z^2"))
+    @example(parse_ideal("x^4, x^2y^3, y^5, z^3"))
+    @example(parse_ideal("x^6, x^3z, xz^3, y^4, z^5"))
+    def test_staircase_corners_match_contains_scan(self, ideal):
+        # the unit ideal, pure powers only, and z (or y) only in its pure power
+        assert ideal.socle_degrees() == socle_by_scan(ideal)
+
+    def test_degree_cap_at_top_degree(self, monkeypatch):
+        # the cap binds the quotient's top degree, not the sum A+B+C
+        monkeypatch.setattr(triregion.monomials, "DEGREE_CAP", 20)
+        assert parse_ideal("x^10, y^10, z^2").socle_degrees() == [19]
+        with pytest.raises(ValueError, match="exceeds the safety cap"):
+            parse_ideal("x^10, y^10, z^3").socle_degrees()

@@ -24,7 +24,7 @@ from triregion import (
     relate_punctures,
     triangle_counts,
 )
-from conftest import artinian_ideals, random_artinian_ideal
+from conftest import artinian_ideals, random_artinian_ideal, standard_by_scan
 
 
 def m(a, b, c):
@@ -94,6 +94,14 @@ class TestTriangleCounts:
         region = build_region(ideal, d)
         assert len(region.up_labels) == ideal.hilbert_function(d - 1)
         assert len(region.down_labels) == ideal.hilbert_function(d - 2)
+
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_ideals(max_d=12))
+    def test_labels_are_standard_by_scan(self, drawn):
+        ideal, d = drawn
+        region = build_region(ideal, d)
+        assert region.up_labels == set(standard_by_scan(ideal, d - 1))
+        assert region.down_labels == set(standard_by_scan(ideal, d - 2))
 
 
 class TestRegionIdeal:
