@@ -6,20 +6,18 @@ balance, monomial subregions and the over-puncturing coefficient are all
 derived from those label sets by divisibility arithmetic; geometry enters
 only in the SVG renderer.
 
-Labels are never compared pair by pair.  For each label degree D a count
-table N[j][c][b] holds how many labels are divisible by x^(j-b-c) y^b z^c,
-for every j <= D.  It is filled from degree D down by inclusion-exclusion,
-N(m) = N(mx) + N(my) + N(mz) - N(mxy) - N(mxz) - N(myz) + N(mxyz), so it
-costs O(1) per monomial and O(d^3) per region, and it lives only for the
-call that builds it.  The region's ideal (and with it the punctures and
-the over-puncturing coefficient) and the structural tileability scan in
-``tilings`` read it.
+Labels are never compared pair by pair.  The region's ideal, and with it
+the punctures, is read off one label staircase: h[c][b] is 1 + the largest
+a over the labels x^a' y^b' z^c', up or down, with b' >= b and c' >= c, so
+x^a y^b z^c divides a label iff a < h[c][b].  This suffix maximum over b,
+then over c, is the dual of ``MonomialIdeal._staircase`` and costs O(d^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .monomials import Monomial, MonomialIdeal, _check_degree, revlex_key
 
@@ -68,6 +66,7 @@ class TriangularRegion:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("region side length must be positive")
+        _check_degree(self.d)
         for m in self.up_labels:
             if m.degree() != self.d - 1:
                 raise ValueError(f"invalid up label {m}")
@@ -107,64 +106,28 @@ def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:
     return down, up, cls
 
 
-def _divisor_counts(labels: frozenset[Monomial], degree: int) -> list[list[list[int]]]:
-    """Count table of degree-``degree`` labels: ``N[j][c][b]`` is the number
-    of labels divisible by x^(j-b-c) y^b z^c, for 0 <= j <= degree.
-
-    The top layer marks the labels themselves; every lower layer follows
-    from the three above it by inclusion-exclusion over x, y and z.
-    """
-    if degree < 0:
-        return []
-    zero = [[0] * (degree + 3)] * (degree + 3)
-    table = [zero, zero, [[0] * (degree - c + 1) for c in range(degree + 1)]]
-    for m in labels:
-        table[2][m.c][m.b] = 1
-    for j in range(degree - 1, -1, -1):
-        n3, n2, n1 = table[-3:]
-        layer = []
-        for c in range(j + 1):
-            # N(mx), N(my) from n1[c]; N(mz) from n1[c + 1]; N(mxy) from
-            # n2[c]; N(mxz), N(myz) from n2[c + 1]; N(mxyz) from n3[c + 1].
-            x1, z1, y2, z2, z3 = n1[c], n1[c + 1], n2[c], n2[c + 1], n3[c + 1]
-            layer.append([
-                x1[b] + x1[b + 1] + z1[b] - y2[b + 1] - z2[b] - z2[b + 1] + z3[b + 1]
-                for b in range(j - c + 1)
-            ])
-        table.append(layer)
-    return table[:1:-1]
-
-
 def monomial_ideal_of_region(region: TriangularRegion) -> MonomialIdeal:
     """The largest ideal with generators of degree < d cutting out exactly this region.
 
-    A monomial qualifies as a generator candidate exactly when it divides no
-    surviving label, i.e. its up and down counts are both 0.  Candidates are
-    closed under multiplication, so a candidate is a minimal generator
-    exactly when each m/v (v a variable dividing m) divides some label.
+    Its generators are the monomials of degree < d dividing no label while
+    each m/v (v a variable dividing m) does: the staircase cells x^h y^b z^c,
+    h = h[c][b], with h + b + c < d, h[c][b-1] > h if b > 0 and h[c-1][b] > h
+    if c > 0.  Read row by row, they come out minimal and in canonical order.
     """
     d = region.d
-    up = _divisor_counts(region.up_labels, d - 1)
-    down = _divisor_counts(region.down_labels, d - 2)
-
-    def divides_a_label(j: int, c: int, b: int) -> bool:
-        return up[j][c][b] > 0 or (j <= d - 2 and down[j][c][b] > 0)
-
-    gens: list[Monomial] = []
-    for j in range(d):
-        for c in range(j + 1):
-            for b in range(j - c + 1):
-                a = j - b - c
-                if divides_a_label(j, c, b):
-                    continue
-                if (
-                    (a and not divides_a_label(j - 1, c, b))
-                    or (b and not divides_a_label(j - 1, c, b - 1))
-                    or (c and not divides_a_label(j - 1, c - 1, b))
-                ):
-                    continue
-                gens.append(Monomial(a, b, c))
-    return MonomialIdeal(tuple(sorted(gens, key=revlex_key)))
+    h = [[0] * (d - c) for c in range(d)]
+    for m in region.up_labels | region.down_labels:
+        if m.a >= h[m.c][m.b]:
+            h[m.c][m.b] = m.a + 1
+    h = [list(accumulate(reversed(row), max))[::-1] for row in h]
+    for c in range(d - 2, -1, -1):  # row c + 1 is one cell shorter than row c
+        h[c][:-1] = map(max, h[c], h[c + 1])
+    return MonomialIdeal(tuple(
+        Monomial(a, b, c)
+        for c, row in enumerate(h)
+        for b, a in enumerate(row)
+        if a + b + c < d and (b == 0 or row[b - 1] > a) and (c == 0 or h[c - 1][b] > a)
+    ))
 
 
 def relate_punctures(m1: Monomial, m2: Monomial, d: int) -> PunctureRelation:

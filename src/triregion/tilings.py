@@ -13,13 +13,12 @@ are read off the region's holes here, next to the adjacency they sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .monomials import Monomial, MonomialIdeal, monomials_of_degree, revlex_key
 from .regions import (
     Balance,
     TriangularRegion,
-    _divisor_counts,
     monomial_ideal_of_region,
     overpuncturing_ideal,
     triangle_counts,
@@ -404,26 +403,63 @@ def enumerate_tilings(region: TriangularRegion, cap: int = ENUMERATION_CAP) -> T
     return _count_perfect_matchings(_adjacency(region)[2], cap)
 
 
+def _divisor_counts(labels: frozenset[Monomial], degree: int) -> Iterator[list[list[int]]]:
+    """The count table of degree-``degree`` labels, one layer N[j] at a time
+    from j = ``degree`` down to 0: N[j][c][b] is the number of labels
+    divisible by x^(j-b-c) y^b z^c.  The top layer marks the labels; each
+    lower one follows from the three above it by inclusion-exclusion over
+    x, y and z, so three layers are kept: O(degree^3) time, O(degree^2) memory.
+    """
+    if degree < 0:
+        return
+    zero = [[0] * (degree + 3)] * (degree + 3)
+    n3, n2, n1 = zero, zero, [[0] * (degree - c + 1) for c in range(degree + 1)]
+    for m in labels:
+        n1[m.c][m.b] = 1
+    yield n1
+    for j in range(degree - 1, -1, -1):
+        layer = []
+        for c in range(j + 1):
+            # N(mx), N(my) from n1[c]; N(mz) from n1[c + 1]; N(mxy) from
+            # n2[c]; N(mxz), N(myz) from n2[c + 1]; N(mxyz) from n3[c + 1].
+            x1, z1, y2, z2, z3 = n1[c], n1[c + 1], n2[c], n2[c + 1], n3[c + 1]
+            layer.append([
+                x1[b] + x1[b + 1] + z1[b] - y2[b + 1] - z2[b] - z2[b + 1] + z3[b + 1]
+                for b in range(j - c + 1)
+            ])
+        n3, n2, n1 = n2, n1, layer
+        yield layer
+
+
 def is_tileable_structural(region: TriangularRegion) -> StructuralTileability:
     """Tileability via balance plus the absence of down-heavy monomial subregions.
 
-    An unbalanced region fails immediately; otherwise every monomial of
-    degree at most d-2 is scanned (ascending degree, descending revlex
-    within a degree) and the first whose subregion holds more down than up
-    triangles is returned as witness.  The subregion counts are read from
-    the down and up label count tables, so the scan is O(d^3).
+    An unbalanced region fails immediately; otherwise the witness is the
+    first monomial of degree at most d-2 (ascending degree, descending
+    revlex within a degree) whose subregion holds more down than up
+    triangles.  The subregion counts are the count tables' layers, streamed
+    from degree d-2 down, so the last heavy degree seen is the lowest and
+    gives the witness: O(d^3) time and O(d^2) memory.
     """
     _, _, balance = triangle_counts(region)
     if balance is not Balance.BALANCED:
         return StructuralTileability(False, True, None)
-    down = _divisor_counts(region.down_labels, region.d - 2)
-    up = _divisor_counts(region.up_labels, region.d - 1)
-    for j in range(region.d - 1):
-        for c, (down_row, up_row) in enumerate(zip(down[j], up[j])):
-            for b, (down_n, up_n) in enumerate(zip(down_row, up_row)):
-                if down_n > up_n:
-                    return StructuralTileability(False, False, Monomial(j - b - c, b, c))
-    return StructuralTileability(True, False, None)
+    d = region.d
+    down = _divisor_counts(region.down_labels, d - 2)
+    up = _divisor_counts(region.up_labels, d - 1)
+    next(up, None)  # layer d-1 has no down labels to weigh against
+    witness = None
+    for j, down_layer, up_layer in zip(range(d - 2, -1, -1), down, up):
+        witness = next(
+            (
+                Monomial(j - b - c, b, c)
+                for c, (down_row, up_row) in enumerate(zip(down_layer, up_layer))
+                for b, (down_n, up_n) in enumerate(zip(down_row, up_row))
+                if down_n > up_n
+            ),
+            witness,
+        )
+    return StructuralTileability(witness is None, False, witness)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""The divisibility count table and the three region routines that read it:
-the region ideal, the structural scan and the two-of-three witness, each
-against a slow oracle that tests every monomial against every label."""
+"""The region routines against slow oracles that test every monomial
+against every label: the region ideal read off the label staircase, the
+structural scan over the streamed layers of the divisibility count table,
+and the two-of-three witness.  The count table's layers are checked
+against a brute-force count as well."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from triregion import (
     StructuralTileability,
     TriangularRegion,
     build_region,
+    convenient_family,
     is_tileable_structural,
     monomial_ideal_of_region,
     monomial_subregion,
@@ -22,7 +25,7 @@ from triregion import (
     puncture_list,
     two_of_three,
 )
-from triregion.regions import _divisor_counts
+from triregion.tilings import _divisor_counts
 from conftest import (
     artinian_regions,
     hexagon,
@@ -33,16 +36,17 @@ from conftest import (
 
 
 @st.composite
-def balanced_label_sets(draw):
-    """A balanced side-d region, d <= 12, whose label sets are arbitrary
-    equal-sized sets of monomials of degrees d-1 and d-2 (not necessarily
-    cut out by an ideal), so that down-heavy subregions are common."""
-    d = draw(st.integers(2, 12))
-    downs = monomials_of_degree(d - 2)
-    k = draw(st.integers(0, len(downs)))
+def label_sets(draw, balanced: bool = True):
+    """A side-d region, d <= 12, whose label sets are arbitrary sets of
+    monomials of degrees d-1 and d-2 (not necessarily cut out by an ideal):
+    of equal size when ``balanced``, so that down-heavy subregions are
+    common, and of independent sizes otherwise."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(0, len(monomials_of_degree(d - 2))))
 
     def labels(j):
-        return draw(st.lists(st.sampled_from(monomials_of_degree(j)), min_size=k, max_size=k, unique=True))
+        pool = monomials_of_degree(j)
+        return draw(st.permutations(pool))[:k if balanced else draw(st.integers(0, len(pool)))]
 
     up, down = labels(d - 1), labels(d - 2)
     return TriangularRegion(d, frozenset(up), frozenset(down))
@@ -64,23 +68,29 @@ def assert_matches_oracles(region):
     assert two_of_three(region).overpunctured_witness == overpunctured_witness_oracle(region)
 
 
+def streamed_counts(labels, degree):
+    """The count table's layers as streamed (degree first), put back in
+    ascending degree."""
+    return list(_divisor_counts(labels, degree))[::-1]
+
+
 class TestCountTable:
     @settings(derandomize=True, deadline=None)
     @given(artinian_regions())
     def test_brute_force_counts(self, region):
         d = region.d
-        assert _divisor_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
-        assert _divisor_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
+        assert streamed_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
+        assert streamed_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
 
     def test_brute_force_counts_corpus(self, corpus):
         for ideal, d in corpus[:100]:
             region = build_region(ideal, d)
-            assert _divisor_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
-            assert _divisor_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
+            assert streamed_counts(region.up_labels, d - 1) == brute_force_counts(region.up_labels, d - 1)
+            assert streamed_counts(region.down_labels, d - 2) == brute_force_counts(region.down_labels, d - 2)
 
     def test_no_labels(self):
-        assert _divisor_counts(frozenset(), -1) == []
-        assert _divisor_counts(frozenset(), 2) == [[[0]], [[0, 0], [0]], [[0, 0, 0], [0, 0], [0]]]
+        assert list(_divisor_counts(frozenset(), -1)) == []
+        assert list(_divisor_counts(frozenset(), 2)) == [[[0, 0, 0], [0, 0], [0]], [[0, 0], [0]], [[0]]]
 
 
 class TestAgainstOracles:
@@ -90,8 +100,14 @@ class TestAgainstOracles:
         assert_matches_oracles(region)
 
     @settings(derandomize=True, deadline=None)
-    @given(balanced_label_sets())
+    @given(label_sets())
     def test_balanced_label_sets(self, region):
+        assert monomial_ideal_of_region(region) == region_ideal_oracle(region)
+        assert is_tileable_structural(region) == structural_oracle(region)
+
+    @settings(derandomize=True, deadline=None)
+    @given(label_sets(balanced=False))
+    def test_unbalanced_label_sets(self, region):
         assert monomial_ideal_of_region(region) == region_ideal_oracle(region)
         assert is_tileable_structural(region) == structural_oracle(region)
 
@@ -120,7 +136,9 @@ def hexagon_60():
 
 
 class TestLargeHexagon:
-    """The d = 60 hexagon x^40, y^40, z^40: 1200 triangles of each kind."""
+    """The d = 60 hexagon x^40, y^40, z^40: 1200 triangles of each kind.
+    Its ideal, and those of the d = 96 hexagon and the d = 25 family, are
+    read back off their regions."""
 
     def test_structural_tileable(self, hexagon_60):
         _, region = hexagon_60
@@ -133,8 +151,13 @@ class TestLargeHexagon:
         assert all(p.side_length == 20 and p.boundary_contact and not p.floating for p in punctures)
         assert overpuncturing(region) == 0
 
-    def test_ideal_rebuilds_region(self, hexagon_60):
-        ideal, region = hexagon_60
+    @pytest.mark.parametrize(
+        "ideal, d",
+        [hexagon(20, 20, 20), hexagon(32, 32, 32), (convenient_family(8, 25), 25)],
+        ids=["hexagon-60", "hexagon-96", "family-8-25"],
+    )
+    def test_ideal_rebuilds_region(self, ideal, d):
+        region = build_region(ideal, d)
         region_ideal = monomial_ideal_of_region(region)
         assert region_ideal == ideal
-        assert build_region(region_ideal, 60) == region
+        assert build_region(region_ideal, d) == region

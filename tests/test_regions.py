@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import triregion.monomials
 from triregion import (
     Balance,
     Monomial,
@@ -64,6 +65,14 @@ class TestBuildRegion:
             TriangularRegion(4, frozenset({m(2, 0, 0)}), frozenset())
         with pytest.raises(ValueError, match="down label"):
             TriangularRegion(4, frozenset(), frozenset({m(3, 0, 0)}))
+
+    def test_side_capped(self):
+        # Every region routine allocates O(d^2) or more, so the constructor
+        # refuses a side past the cap instead of leaving it to them.
+        cap = triregion.monomials.DEGREE_CAP
+        assert TriangularRegion(cap, frozenset(), frozenset()).d == cap
+        with pytest.raises(ValueError, match="safety cap"):
+            TriangularRegion(cap + 1, frozenset(), frozenset())
 
 
 class TestTriangleCounts:
