@@ -1,7 +1,9 @@
 """Command-line interface: one subcommand per capability, JSON or text output.
 
 Each subcommand is declared once, in ``COMMANDS``: its help, its arguments
-and one handler that returns the JSON payload.
+and one handler that returns the JSON payload.  The parser depends on that
+table alone and is built once per process; ``main`` reads
+``$TRIREGION_FORMAT`` on each call (any value but ``text`` means JSON).
 
 Exit codes: 0 success, 1 usage or ideal-syntax errors, 2 precondition
 violations (``ValueError``) and failed file writes (``OSError``), with a
@@ -14,6 +16,7 @@ cannot lose precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,16 +162,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triregion",
         description="Triangular regions, lozenge tilings, weak Lefschetz and semistability decisions.",
     )
-    env_format = os.environ.get(FORMAT_ENV, "json")
     parser.add_argument(
         "--format",
         choices=("json", "text"),
-        default=env_format if env_format in ("json", "text") else "json",
         help="output format (default json, or $TRIREGION_FORMAT)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -217,10 +219,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         sys.stderr.write("\n")
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if (args.format or os.environ.get(FORMAT_ENV)) == "text":
         print(_as_text(payload))
+    else:
+        print(json.dumps(payload, indent=2))
     return 0
 
 

@@ -149,24 +149,20 @@ def puncture_list(region: TriangularRegion) -> list[Puncture]:
 
     Non-floating punctures form the least set containing every puncture with
     boundary contact (a zero exponent in its generator) and closed under
-    overlapping or touching; the rest float.  The fixed point does not
-    depend on enumeration order.
+    overlapping or touching; the rest float.  They are found breadth first:
+    each puncture taken from a queue that starts with the boundary ones adds
+    every puncture not yet reached that it overlaps or touches.
     """
-    region_ideal = monomial_ideal_of_region(region)
-    gens = list(region_ideal.generators)
-    non_floating = {g for g in gens if 0 in g.exponents()}
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            if g in non_floating:
-                continue
-            if any(
-                relate_punctures(g, h, region.d) != PunctureRelation.DISJOINT
-                for h in tuple(non_floating)
-            ):
-                non_floating.add(g)
-                changed = True
+    gens = monomial_ideal_of_region(region).generators
+    queue = [g for g in gens if 0 in g.exponents()]
+    unreached = [g for g in gens if 0 not in g.exponents()]
+    for g in queue:  # the loop also visits what it appends
+        left = []
+        for h in unreached:
+            # lcm degree <= d: the punctures overlap or touch (relate_punctures)
+            (queue if g.lcm(h).degree() <= region.d else left).append(h)
+        unreached = left
+    non_floating = set(queue)
     return [
         Puncture(
             generator=g,

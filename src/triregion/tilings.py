@@ -3,8 +3,8 @@
 A lozenge pairs a downward triangle with an adjacent upward triangle, so a
 tiling of a region is a perfect matching between its down and up labels
 under the relation "up = variable * down".  Three independent routes decide
-tileability: augmenting-path matching, the no-heavy-subregion criterion,
-and exhaustive enumeration.  The exact count in polynomial time is
+tileability: greedy then augmenting-path matching, the no-heavy-subregion
+criterion, and exhaustive enumeration.  The exact count in polynomial time is
 ``permanent(biadjacency(region))``: the lozenge graph is planar, and the
 signs that make its determinant count the tilings (a Kasteleyn signing)
 are read off the region's holes here, next to the adjacency they sign.
@@ -193,36 +193,37 @@ def _kasteleyn_flips(region: TriangularRegion) -> set[tuple[int, int, int]]:
 
 
 def find_tiling(region: TriangularRegion) -> Tiling | None:
-    """A lozenge tiling if one exists: forced lozenges first, then
-    augmenting-path matching.
+    """A lozenge tiling if one exists: a greedy pass, then augmenting paths.
 
-    A triangle, up or down, with exactly one free neighbour must take that
-    lozenge in every tiling, so every such lozenge is placed first, from a
-    work queue; a triangle left with no free neighbour proves there is no
-    tiling.  The down labels still unmatched then get augmenting paths
-    through the unmatched triangles only, in descending revlex order with
-    neighbours in x, y, z order, depth first.  A region with a single
-    tiling is thus tiled in linear time.  Every search keeps its own stack,
-    so no region is too deep for it.  The empty region yields the empty
-    tiling.
+    First each down label, in descending revlex order, takes its first free
+    up neighbour in x, y, z order; on most regions, hexagons included, that
+    already tiles.  Each down label left unmatched then gets an augmenting
+    path through the matching so far, in the same orders, depth first.  A
+    root with no augmenting path proves there is no tiling: the down labels
+    its alternating paths reach have fewer up neighbours than themselves
+    (Hall's condition fails, as in Berge's theorem).  Every search keeps its
+    own stack, so no region is too deep for it.  The empty region yields
+    the empty tiling.
     """
     if len(region.down_labels) != len(region.up_labels):
         return None
     downs, ups, neighbors = _adjacency(region)
-    forced = _ForcedMatching(neighbors)
-    if not forced.propagate():
-        return None
-    matched_down, matched_up = forced.mate
-    open_ups = [tuple(nu for nu in near if matched_up[nu] < 0) for near in neighbors]
-    for root in range(len(downs)):
-        if matched_down[root] >= 0:
-            continue
+    matched_up = [-1] * len(ups)
+    roots = []
+    for mu, near in enumerate(neighbors):
+        for nu in near:
+            if matched_up[nu] < 0:
+                matched_up[nu] = mu
+                break
+        else:
+            roots.append(mu)
+    for root in roots:
         seen: set[int] = set()
         # path[i] is a down label on the search path; tried[i] counts the
         # neighbours it has tried, the last of them leading to path[i + 1].
         path, tried = [root], [0]
         while path:
-            options, k = open_ups[path[-1]], tried[-1]
+            options, k = neighbors[path[-1]], tried[-1]
             while k < len(options) and options[k] in seen:
                 k += 1
             if k == len(options):
@@ -234,7 +235,7 @@ def find_tiling(region: TriangularRegion) -> Tiling | None:
             tried[-1] = k + 1
             if matched_up[nu] < 0:
                 for step, count in zip(path, tried):
-                    matched_up[open_ups[step][count - 1]] = step
+                    matched_up[neighbors[step][count - 1]] = step
                 break
             path.append(matched_up[nu])
             tried.append(0)
@@ -255,7 +256,8 @@ def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
 
 class _ForcedMatching:
     """A partial perfect matching of a square bipartite graph that places
-    its forced pairs itself, and undoes placements from a LIFO trail.
+    its forced pairs itself, and undoes placements from a LIFO trail; the
+    state of the matching counter alone.
 
     Side 0 holds the rows and side 1 the columns, both numbered from 0;
     ``adj[s][v]`` lists the neighbours of vertex v of side s in ascending

@@ -4,9 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: ranks and
 determinants come from Fraction-based Gaussian elimination, permanents from
 permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
-degrees from membership tests degree by degree, and region ideals,
-structural scans and over-punctured subregions from testing every monomial
-against every label.
+degrees from membership tests degree by degree, region ideals, structural
+scans and over-punctured subregions from testing every monomial against
+every label, and floating punctures from a fixed point over all pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from triregion import (
     IntegerMatrix,
     Monomial,
     MonomialIdeal,
+    PunctureRelation,
     StructuralTileability,
     TriangularRegion,
     X,
@@ -31,6 +32,7 @@ from triregion import (
     build_region,
     monomial_subregion,
     monomials_of_degree,
+    relate_punctures,
     triangle_counts,
 )
 
@@ -58,6 +60,23 @@ def artinian_ideals(draw, max_d: int = 16):
 def artinian_regions(max_d: int = 16):
     """The side-d region of an ``artinian_ideals`` draw."""
     return artinian_ideals(max_d).map(lambda drawn: build_region(*drawn))
+
+
+@st.composite
+def label_sets(draw, balanced: bool = True):
+    """A side-d region, d <= 12, whose label sets are arbitrary sets of
+    monomials of degrees d-1 and d-2 (not necessarily cut out by an ideal):
+    of equal size when ``balanced``, so that down-heavy subregions are
+    common, and of independent sizes otherwise."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(0, len(monomials_of_degree(d - 2))))
+
+    def labels(j):
+        pool = monomials_of_degree(j)
+        return draw(st.permutations(pool))[:k if balanced else draw(st.integers(0, len(pool)))]
+
+    up, down = labels(d - 1), labels(d - 2)
+    return TriangularRegion(d, frozenset(up), frozenset(down))
 
 
 def random_artinian_ideal(rng: random.Random) -> tuple[MonomialIdeal, int]:
@@ -261,3 +280,20 @@ def overpunctured_witness_oracle(region: TriangularRegion) -> Monomial | None:
             if sum(sub.d - g.degree() for g in gens) > sub.d:
                 return m
     return None
+
+
+def non_floating_oracle(gens, d: int) -> set[Monomial]:
+    """The non-floating generators by a fixed point: add every generator
+    whose puncture overlaps or touches one already in the set, rescanning
+    ``gens`` in the order given until nothing changes."""
+    non_floating = {g for g in gens if 0 in g.exponents()}
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            if g in non_floating:
+                continue
+            if any(relate_punctures(g, h, d) != PunctureRelation.DISJOINT for h in list(non_floating)):
+                non_floating.add(g)
+                changed = True
+    return non_floating

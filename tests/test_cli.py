@@ -315,3 +315,27 @@ class TestDeterminismAndFormats:
         code, out, _ = run(capsys, "count", "--ideal", "x^2,y^2,z^2", "--degree", "3")
         assert code == 0
         assert "count = 2" in out
+
+    def test_format_env_read_on_each_call(self, capsys, monkeypatch):
+        # the parser is built once per process, so the variable must be read per call
+        argv = ("count", "--ideal", "x^2,y^2,z^2", "--degree", "3")
+        monkeypatch.setenv("TRIREGION_FORMAT", "text")
+        _, first, _ = run(capsys, *argv)
+        monkeypatch.delenv("TRIREGION_FORMAT")
+        _, second, _ = run(capsys, *argv)
+        assert first == "count = 2\nexact = True\n"
+        assert json.loads(second) == {"count": "2", "exact": True}
+
+    def test_format_env_invalid_means_json(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIREGION_FORMAT", "yaml")
+        code, out, _ = run(capsys, "count", "--ideal", "x^2,y^2,z^2", "--degree", "3")
+        assert code == 0
+        assert json.loads(out) == {"count": "2", "exact": True}
+
+    def test_format_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIREGION_FORMAT", "text")
+        argv = ("count", "--ideal", "x^2,y^2,z^2", "--degree", "3")
+        _, out, _ = run(capsys, "--format", "json", *argv)
+        assert json.loads(out) == {"count": "2", "exact": True}
+        _, out, _ = run(capsys, *argv)
+        assert out == "count = 2\nexact = True\n"

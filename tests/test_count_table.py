@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from triregion import (
     Monomial,
     MonomialIdeal,
     StructuralTileability,
-    TriangularRegion,
     build_region,
     convenient_family,
     is_tileable_structural,
@@ -29,27 +27,11 @@ from triregion.tilings import _divisor_counts
 from conftest import (
     artinian_regions,
     hexagon,
+    label_sets,
     overpunctured_witness_oracle,
     region_ideal_oracle,
     structural_oracle,
 )
-
-
-@st.composite
-def label_sets(draw, balanced: bool = True):
-    """A side-d region, d <= 12, whose label sets are arbitrary sets of
-    monomials of degrees d-1 and d-2 (not necessarily cut out by an ideal):
-    of equal size when ``balanced``, so that down-heavy subregions are
-    common, and of independent sizes otherwise."""
-    d = draw(st.integers(1, 12))
-    k = draw(st.integers(0, len(monomials_of_degree(d - 2))))
-
-    def labels(j):
-        pool = monomials_of_degree(j)
-        return draw(st.permutations(pool))[:k if balanced else draw(st.integers(0, len(pool)))]
-
-    up, down = labels(d - 1), labels(d - 2)
-    return TriangularRegion(d, frozenset(up), frozenset(down))
 
 
 def brute_force_counts(labels, degree):

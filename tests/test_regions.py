@@ -25,7 +25,13 @@ from triregion import (
     relate_punctures,
     triangle_counts,
 )
-from conftest import artinian_ideals, random_artinian_ideal, standard_by_scan
+from conftest import (
+    artinian_ideals,
+    label_sets,
+    non_floating_oracle,
+    random_artinian_ideal,
+    standard_by_scan,
+)
 
 
 def m(a, b, c):
@@ -168,7 +174,7 @@ class TestPunctures:
         assert all(not p.floating and p.boundary_contact for p in puncture_list(region))
 
     def test_fixpoint_order_independent(self):
-        # recompute the closure with shuffled orders and compare
+        # the fixed point with shuffled orders gives the same set
         rng = random.Random(31)
         for _ in range(20):
             ideal, d = random_artinian_ideal(rng)
@@ -177,22 +183,24 @@ class TestPunctures:
             gens = [p.generator for p in punctures]
             expected = {p.generator for p in punctures if not p.floating}
             for _ in range(3):
-                shuffled = gens[:]
-                rng.shuffle(shuffled)
-                non_floating = {g for g in shuffled if 0 in g.exponents()}
-                changed = True
-                while changed:
-                    changed = False
-                    for g in shuffled:
-                        if g in non_floating:
-                            continue
-                        if any(
-                            relate_punctures(g, h, d) != PunctureRelation.DISJOINT
-                            for h in list(non_floating)
-                        ):
-                            non_floating.add(g)
-                            changed = True
-                assert non_floating == expected
+                rng.shuffle(gens)
+                assert non_floating_oracle(gens, d) == expected
+
+    @staticmethod
+    def assert_matches_fixed_point(region):
+        punctures = puncture_list(region)
+        gens = [p.generator for p in punctures]
+        non_floating = {p.generator for p in punctures if not p.floating}
+        assert non_floating == non_floating_oracle(gens, region.d)
+
+    def test_breadth_first_matches_fixed_point_corpus(self, corpus):
+        for ideal, d in corpus:
+            self.assert_matches_fixed_point(build_region(ideal, d))
+
+    @settings(derandomize=True, deadline=None)
+    @given(label_sets(balanced=False))
+    def test_breadth_first_matches_fixed_point_label_sets(self, region):
+        self.assert_matches_fixed_point(region)
 
 
 class TestRelatePunctures:

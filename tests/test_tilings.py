@@ -7,7 +7,7 @@ import sys
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triregion import (
@@ -85,6 +85,16 @@ class TestFindTiling:
             sys.setrecursionlimit(limit)
         validate_tiling(region, tiling)
 
+    def test_augmenting_search_after_greedy(self):
+        # The greedy pass gives x the lozenge x-xy, which y needs; the
+        # augmenting path y -> xy -> x -> xz -> z -> z^2 mends it.
+        region = build_region(parse_ideal("x^2, y^2, yz, z^3"), 3)
+        tiling = find_tiling(region)
+        validate_tiling(region, tiling)
+        assert [(e["down"], e["up"]) for e in tiling_json(tiling)] == [
+            ("x", "x*z"), ("y", "x*y"), ("z", "z^2"),
+        ]
+
     def test_parallelogram_single_tiling(self):
         # (32, 32, 0) parallelogram at d = 64: every lozenge is forced, and
         # its one tiling pairs each down label mu with mu * z
@@ -93,7 +103,7 @@ class TestFindTiling:
         validate_tiling(region, tiling)
         assert tiling.lozenges == {Lozenge(mu, mu * m(0, 0, 1)) for mu in region.down_labels}
 
-    # Three regions with more than one tiling; the lozenges found are pinned.
+    # Four regions with more than one tiling; the lozenges found are pinned.
     PINNED_TILINGS = {
         ("x^4, y^4, z^4", 6): [  # hexagon (2, 2, 2): 20 tilings
             ("x^3*y", "x^3*y^2"), ("x^2*y^2", "x^2*y^3"), ("x*y^3", "x*y^3*z"),
@@ -112,6 +122,10 @@ class TestFindTiling:
             ("y^2*z^2", "y^2*z^3"), ("x*z^3", "x*y*z^3"), ("y*z^3", "y*z^4"),
             ("z^4", "x*z^4"),
         ],
+        ("x^3, y^3, y^2z, z^3", 4): [  # 3 tilings; greedy first, then y^2 augments
+            ("x^2", "x^2*z"), ("x*y", "x^2*y"), ("y^2", "x*y^2"),
+            ("x*z", "x*y*z"), ("y*z", "y*z^2"), ("z^2", "x*z^2"),
+        ],
     }
 
     @pytest.mark.parametrize("text, d", list(PINNED_TILINGS))
@@ -120,6 +134,69 @@ class TestFindTiling:
         assert enumerate_tilings(region).count > 1
         payload = tiling_json(find_tiling(region))
         assert [(e["down"], e["up"]) for e in payload] == self.PINNED_TILINGS[(text, d)]
+
+
+def perfect_by_hopcroft_karp(region) -> bool:
+    """Whether networkx's Hopcroft-Karp matching of the lozenge graph
+    covers every triangle of the region."""
+    import networkx as nx
+    from networkx.algorithms import bipartite
+
+    graph = nx.Graph()
+    downs = [("down", mu) for mu in region.down_labels]
+    graph.add_nodes_from(downs)
+    graph.add_nodes_from(("up", nu) for nu in region.up_labels)
+    graph.add_edges_from(
+        (("down", mu), ("up", mu * v))
+        for mu in region.down_labels
+        for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1))
+        if mu * v in region.up_labels
+    )
+    matching = bipartite.hopcroft_karp_matching(graph, top_nodes=downs)
+    # the matching maps each matched vertex, on either side, to its mate
+    return len(matching) == len(graph)
+
+
+@st.composite
+def punctured_balanced_regions(draw, max_d: int = 30):
+    """A balanced side-d region with one to three interior punctures of
+    side s (generators x^a y^b z^c, every exponent positive, of degree
+    d - s) and corner punctures whose sides make up the rest of d."""
+    d = draw(st.integers(6, max_d))
+    gens, sides = [], 0
+    for s in draw(st.lists(st.integers(1, d // 3), min_size=1, max_size=3)):
+        a = draw(st.integers(1, d - s - 2))
+        b = draw(st.integers(1, d - s - 1 - a))
+        gens.append(m(a, b, d - s - a - b))
+        sides += s
+    rest = max(0, d - sides)
+    a = draw(st.integers(0, rest))
+    b = draw(st.integers(0, rest - a))
+    gens += [m(d - a, 0, 0), m(0, d - b, 0), m(0, 0, d - (rest - a - b))]
+    region = build_region(MonomialIdeal.from_generators(gens), d)
+    assume(triangle_counts(region)[2] is Balance.BALANCED)
+    return region
+
+
+class TestFindTilingOracle:
+    """``find_tiling`` against Hopcroft-Karp in networkx."""
+
+    @staticmethod
+    def check(region):
+        tiling = find_tiling(region)
+        assert (tiling is not None) == perfect_by_hopcroft_karp(region)
+        if tiling is not None:
+            validate_tiling(region, tiling)
+
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_regions(max_d=30))
+    def test_artinian_regions(self, region):
+        self.check(region)
+
+    @settings(derandomize=True, deadline=None)
+    @given(punctured_balanced_regions())
+    def test_punctured_balanced_regions(self, region):
+        self.check(region)
 
 
 class TestEnumerate:
