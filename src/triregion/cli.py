@@ -183,13 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _as_text(payload: dict) -> str:
-    """Flatten the JSON payload into deterministic ``key.path = value`` lines."""
+    """Flatten the JSON payload into deterministic ``key.path = value`` lines;
+    an empty list or dict is one ``key = []`` or ``key = {}`` line."""
     lines: list[str] = []
 
     def emit(prefix: str, value) -> None:
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             items = ((f"{prefix}{k}" if not prefix else f"{prefix}.{k}", v) for k, v in value.items())
-        elif isinstance(value, list):
+        elif isinstance(value, list) and value:
             items = ((f"{prefix}.{i}" if prefix else str(i), v) for i, v in enumerate(value))
         else:
             lines.append(f"{prefix} = {value}")

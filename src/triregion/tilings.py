@@ -254,83 +254,6 @@ def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
         raise ValueError("tiling does not cover the region exactly")
 
 
-class _ForcedMatching:
-    """A partial perfect matching of a square bipartite graph that places
-    its forced pairs itself, and undoes placements from a LIFO trail; the
-    state of the matching counter alone.
-
-    Side 0 holds the rows and side 1 the columns, both numbered from 0;
-    ``adj[s][v]`` lists the neighbours of vertex v of side s in ascending
-    order, and ``free[s][v]`` counts those still unmatched while v is.  A
-    perfect matching of a square problem covers every column as well as
-    every row, so an unmatched vertex on either side with one free
-    neighbour must be matched to it, and one with none admits no perfect
-    matching.
-    """
-
-    __slots__ = ("adj", "free", "mate", "trail", "queue")
-
-    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        n = len(rows)
-        columns: list[list[int]] = [[] for _ in range(n)]
-        for i, row in enumerate(rows):
-            for j in row:
-                columns[j].append(i)
-        self.adj = (rows, columns)
-        self.free = ([len(row) for row in rows], [len(column) for column in columns])
-        self.mate = ([-1] * n, [-1] * n)
-        # Matched rows in placement order.
-        self.trail: list[int] = []
-        # Per side, unmatched vertices seen with at most one free neighbour.
-        self.queue = tuple([v for v, f in enumerate(free) if f < 2] for free in self.free)
-
-    def place(self, row: int, column: int) -> None:
-        """Match ``row`` with ``column``; their neighbours each lose a free partner."""
-        (rows, columns), (row_free, column_free), (row_mate, column_mate) = self.adj, self.free, self.mate
-        row_mate[row], column_mate[column] = column, row
-        self.trail.append(row)
-        for j in rows[row]:
-            column_free[j] -= 1
-            if column_free[j] < 2 and column_mate[j] < 0:
-                self.queue[1].append(j)
-        for i in columns[column]:
-            row_free[i] -= 1
-            if row_free[i] < 2 and row_mate[i] < 0:
-                self.queue[0].append(i)
-
-    def propagate(self) -> bool:
-        """Place every forced pair; False when a vertex is left with no free
-        neighbour, so no perfect matching extends the placed pairs."""
-        adj, mate, queue = self.adj, self.mate, self.queue
-        while queue[0] or queue[1]:
-            side = 0 if queue[0] else 1
-            v = queue[side].pop()
-            if mate[side][v] < 0:
-                other = mate[1 - side]
-                w = next((w for w in adj[side][v] if other[w] < 0), None)
-                if w is None:
-                    return False
-                if side:
-                    self.place(w, v)
-                else:
-                    self.place(v, w)
-        return True
-
-    def undo(self, mark: int) -> None:
-        """Take back every placement after the first ``mark``."""
-        (rows, columns), (row_free, column_free), (row_mate, column_mate) = self.adj, self.free, self.mate
-        for waiting in self.queue:
-            waiting.clear()
-        while len(self.trail) > mark:
-            row = self.trail.pop()
-            column = row_mate[row]
-            for j in rows[row]:
-                column_free[j] += 1
-            for i in columns[column]:
-                row_free[i] += 1
-            row_mate[row] = column_mate[column] = -1
-
-
 def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | None = None) -> TilingCount:
     """Number of ways to match every row i to its own column in ``candidates[i]``.
 
@@ -341,18 +264,64 @@ def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | Non
     each placement every such forced pair is placed, so the search branches
     only where nothing is forced: on the unmatched row with the fewest free
     columns, trying them in ascending order (for a region the x, y, z
-    neighbour order), and it rarely meets a dead end.  Free counts are undone from a trail and the
-    branches live on an explicit stack, so depth costs no recursion.  Once
-    the count passes ``cap`` the search stops with ``(cap + 1, False)``.
+    neighbour order), and it rarely meets a dead end.  Free counts are
+    undone from a trail and the branches live on an explicit stack, so
+    depth costs no recursion.  Once the count passes ``cap`` the search
+    stops with ``(cap + 1, False)``.
     """
-    matching = _ForcedMatching(candidates)
-    (free, _), (mate, column_mate), trail = matching.free, matching.mate, matching.trail
     n = len(candidates)
+    # One bipartite graph on 2n vertices: row i is vertex i and column j is
+    # vertex n + j.  adj[v] lists v's neighbours in ascending order, free[v]
+    # counts those still unmatched while v is, and mate[v] is v's partner or -1.
+    adj = [[n + j for j in row] for row in candidates] + [[] for _ in range(n)]
+    for i, row in enumerate(candidates):
+        for j in row:
+            adj[n + j].append(i)
+    free = [len(near) for near in adj]
+    mate = [-1] * (2 * n)
+    # Unmatched vertices seen with at most one free neighbour, and one end
+    # of every placed pair in placement order.
+    waiting = [v for v, f in enumerate(free) if f < 2]
+    trail: list[int] = []
+
+    def place(u: int, v: int) -> None:
+        mate[u], mate[v] = v, u
+        trail.append(u)
+        for end in (u, v):
+            for w in adj[end]:
+                free[w] -= 1
+                if free[w] < 2 and mate[w] < 0:
+                    waiting.append(w)
+
+    def propagate() -> bool:
+        """Place every forced pair; False once a vertex has no free neighbour left."""
+        while waiting:
+            v = waiting.pop()
+            if mate[v] < 0:
+                for w in adj[v]:
+                    if mate[w] < 0:
+                        place(v, w)
+                        break
+                else:
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        """Take back every placement after the first ``mark``."""
+        waiting.clear()
+        while len(trail) > mark:
+            u = trail.pop()
+            v = mate[u]
+            for end in (u, v):
+                for w in adj[end]:
+                    free[w] += 1
+            mate[u] = mate[v] = -1
+
     # One frame per branch: (row, its free columns, index of the one in
     # use, trail length before the branch).
     stack: list[tuple[int, tuple[int, ...], int, int]] = []
     count = 0
-    alive = matching.propagate()
+    alive = propagate()
     while True:
         if alive and len(trail) < n:
             # Every unmatched row has at least two free columns now.
@@ -362,7 +331,7 @@ def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | Non
                     row = i
                     if free[i] == 2:
                         break
-            columns = tuple(j for j in candidates[row] if column_mate[j] < 0)
+            columns = tuple(v for v in adj[row] if mate[v] < 0)
             stack.append((row, columns, -1, len(trail)))
         elif alive:
             count += 1
@@ -373,11 +342,11 @@ def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | Non
         # the next one, dropping the exhausted branches above it.
         while stack:
             row, columns, k, mark = stack.pop()
-            matching.undo(mark)
+            undo(mark)
             if k + 1 < len(columns):
                 stack.append((row, columns, k + 1, mark))
-                matching.place(row, columns[k + 1])
-                alive = matching.propagate()
+                place(row, columns[k + 1])
+                alive = propagate()
                 break
         else:
             return TilingCount(count, True)

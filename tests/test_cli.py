@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from triregion import parse_ideal
-from triregion.cli import COMMANDS, main
+from triregion.cli import COMMANDS, _as_text, main
 from conftest import standard_by_scan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -309,6 +309,21 @@ class TestDeterminismAndFormats:
         )
         assert code == 0
         assert "count = 2" in out
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("criterion", "--ideal", "x^7, x^5yz, xy^3z^3, y^7, z^8"), "parity_offenders = []"),
+            (("family", "--kind", "convenient", "--params", "4,13"), "notes = []"),
+            (("family", "--kind", "convenient", "--params", "4,13"), "validation.parity_offenders = []"),
+        ],
+    )
+    def test_text_format_keeps_empty_lists(self, capsys, argv, line):
+        _, out, _ = run(capsys, "--format", "text", *argv)
+        assert line in out.splitlines()
+
+    def test_text_format_empty_containers(self):
+        assert _as_text({"a": {}, "b": [[], 1]}) == "a = {}\nb.0 = []\nb.1 = 1"
 
     def test_format_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIREGION_FORMAT", "text")

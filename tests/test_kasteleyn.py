@@ -100,10 +100,15 @@ def label_regions(draw):
 
 def assert_counted(region: TriangularRegion) -> None:
     count = enumerate_tilings(region, cap=ORACLE_CAP)
+    n = count.count
     if count.exact and len(region.up_labels) == len(region.down_labels):
         Z = biadjacency(region)
-        assert permanent(Z) == count.count
-        assert abs(determinant(Z)) <= count.count
+        assert permanent(Z) == n
+        assert abs(determinant(Z)) <= n
+    if count.exact and n >= 2:
+        # the counter stops one past its cap, and not at the cap itself
+        assert enumerate_tilings(region, cap=n - 1) == (n, False)
+        assert enumerate_tilings(region, cap=n) == (n, True)
 
 
 class TestKasteleynCount:
