@@ -81,15 +81,24 @@ class Monomial:
         return (self.a, self.b, self.c)
 
     def __str__(self) -> str:
-        parts = [
-            v if e == 1 else f"{v}^{e}"
-            for v, e in zip(VARIABLES, (self.a, self.b, self.c))
-            if e > 0
-        ]
-        return "*".join(parts) if parts else "1"
+        text = _factor("x", self.a) + _factor("y", self.b) + _factor("z", self.c)
+        return text[1:] or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self.a}, {self.b}, {self.c})"
+
+
+def _factor(v: str, e: int) -> str:
+    """``*v^e``, ``*v`` or nothing: a monomial's text is its factors joined,
+    less the first ``*``, or ``1`` when there are none."""
+    return f"*{v}^{e}" if e > 1 else f"*{v}" if e else ""
+
+
+def _texts(monomials: Iterable[Monomial], n: int) -> list[str]:
+    """``[str(m) for m in monomials]`` for exponents up to n, from per-call
+    tables of each variable's factors."""
+    xs, ys, zs = ([_factor(v, e) for e in range(n + 1)] for v in VARIABLES)
+    return [(xs[m.a] + ys[m.b] + zs[m.c])[1:] or "1" for m in monomials]
 
 
 ONE = Monomial(0, 0, 0)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 
-from .monomials import Monomial, MonomialIdeal, _check_degree, revlex_key
+from .monomials import Monomial, MonomialIdeal, _check_degree, _texts, revlex_key
 
 
 class Balance(Enum):
@@ -56,7 +57,9 @@ class TriangularRegion:
 
     A region is its labels: up labels of degree d-1 and down labels of
     degree d-2.  It keeps no ideal; ``monomial_ideal_of_region`` recovers
-    the largest one that cuts it out.
+    the largest one that cuts it out.  Each side is put in descending
+    revlex order at most once, on first use, and ``build_region`` hands
+    over the order its staircase already gives.
     """
 
     d: int
@@ -74,11 +77,19 @@ class TriangularRegion:
             if m.degree() != self.d - 2:
                 raise ValueError(f"invalid down label {m}")
 
+    @cached_property
+    def _up_order(self) -> tuple[Monomial, ...]:
+        return tuple(sorted(self.up_labels, key=revlex_key))
+
+    @cached_property
+    def _down_order(self) -> tuple[Monomial, ...]:
+        return tuple(sorted(self.down_labels, key=revlex_key))
+
     def up_sorted(self) -> list[Monomial]:
-        return sorted(self.up_labels, key=revlex_key)
+        return list(self._up_order)
 
     def down_sorted(self) -> list[Monomial]:
-        return sorted(self.down_labels, key=revlex_key)
+        return list(self._down_order)
 
     def is_empty(self) -> bool:
         return not self.up_labels and not self.down_labels
@@ -91,7 +102,10 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
         raise ValueError("region side length must be positive")
     _check_degree(d)
     up, down = ideal._standard_in(d - 1, d - 2)
-    return TriangularRegion(d, frozenset(up), frozenset(down))
+    region = TriangularRegion(d, frozenset(up), frozenset(down))
+    # fill the cached label orders, which are not fields: equality and hash are unchanged
+    vars(region).update(_up_order=tuple(up), _down_order=tuple(down))
+    return region
 
 
 def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:
@@ -207,17 +221,18 @@ def overpuncturing_ideal(ideal: MonomialIdeal, d: int) -> int:
 
 
 def region_json(region: TriangularRegion) -> dict:
-    """JSON-ready dump: labels and punctures in descending revlex order."""
+    """JSON-ready dump: labels and punctures (in generator order) in
+    descending revlex order."""
     return {
         "d": region.d,
-        "up": [str(m) for m in region.up_sorted()],
-        "down": [str(m) for m in region.down_sorted()],
+        "up": _texts(region._up_order, region.d),
+        "down": _texts(region._down_order, region.d),
         "punctures": [
             {
                 "generator": str(p.generator),
                 "side": p.side_length,
                 "floating": p.floating,
             }
-            for p in sorted(puncture_list(region), key=lambda p: revlex_key(p.generator))
+            for p in puncture_list(region)
         ],
     }

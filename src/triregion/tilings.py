@@ -13,9 +13,10 @@ are read off the region's holes here, next to the adjacency they sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .monomials import Monomial, MonomialIdeal, monomials_of_degree, revlex_key
+from .monomials import Monomial, MonomialIdeal, _texts, monomials_of_degree, revlex_key
 from .regions import (
     Balance,
     TriangularRegion,
@@ -52,10 +53,17 @@ class Lozenge:
 
 @dataclass(frozen=True)
 class Tiling:
+    """A set of lozenges; ``find_tiling`` hands over their order by down
+    label, which is otherwise sorted once, on first use."""
+
     lozenges: frozenset[Lozenge]
 
+    @cached_property
+    def _order(self) -> tuple[Lozenge, ...]:
+        return tuple(sorted(self.lozenges, key=lambda l: revlex_key(l.down_label)))
+
     def sorted_lozenges(self) -> list[Lozenge]:
-        return sorted(self.lozenges, key=lambda l: revlex_key(l.down_label))
+        return list(self._order)
 
     def __len__(self) -> int:
         return len(self.lozenges)
@@ -241,7 +249,12 @@ def find_tiling(region: TriangularRegion) -> Tiling | None:
             tried.append(0)
         else:
             return None
-    return Tiling(frozenset(Lozenge(downs[mu], ups[nu]) for nu, mu in enumerate(matched_up)))
+    order: list = [None] * len(downs)
+    for nu, mu in enumerate(matched_up):
+        order[mu] = Lozenge(downs[mu], ups[nu])
+    tiling = Tiling(frozenset(order))
+    vars(tiling)["_order"] = tuple(order)  # the cached order, not a field
+    return tiling
 
 
 def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
@@ -491,7 +504,8 @@ def two_of_three(region: TriangularRegion) -> TwoOfThreeReport:
 
 def tiling_json(tiling: Tiling) -> list[dict]:
     """JSON-ready list of lozenges, sorted by descending revlex of the down label."""
-    return [
-        {"down": str(l.down_label), "up": str(l.up_label)}
-        for l in tiling.sorted_lozenges()
-    ]
+    order = tiling._order
+    ups = [l.up_label for l in order]
+    n = max(map(Monomial.degree, ups), default=0)
+    downs = _texts((l.down_label for l in order), n)
+    return [{"down": down, "up": up} for down, up in zip(downs, _texts(ups, n))]

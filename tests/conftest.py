@@ -6,11 +6,13 @@ permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
 degrees from membership tests degree by degree, region ideals, structural
 scans and over-punctured subregions from testing every monomial against
-every label, and floating punctures from a fixed point over all pairs.
+every label, floating punctures from a fixed point over all pairs, and SVG
+documents from each triangle's vertices, computed and formatted one by one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,7 +26,9 @@ from triregion import (
     Monomial,
     MonomialIdeal,
     PunctureRelation,
+    RenderOptions,
     StructuralTileability,
+    Tiling,
     TriangularRegion,
     X,
     Y,
@@ -32,8 +36,21 @@ from triregion import (
     build_region,
     monomial_subregion,
     monomials_of_degree,
+    puncture_list,
     relate_punctures,
+    revlex_key,
     triangle_counts,
+)
+from triregion.render import (
+    DOWN_FILL,
+    FLOATING_STROKE,
+    LOZENGE_FILLS,
+    PUNCTURE_FILL,
+    STROKE,
+    UP_FILL,
+    _document,
+    _fmt,
+    _label_text,
 )
 
 CORPUS_SEED = 20260811
@@ -297,3 +314,102 @@ def non_floating_oracle(gens, d: int) -> set[Monomial]:
                 non_floating.add(g)
                 changed = True
     return non_floating
+
+
+def _points(points: list[tuple[float, float]]) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+
+
+def _up_vertices(m: Monomial, d: int, u: float, h: float) -> list[tuple[float, float]]:
+    x0 = (m.a / 2 + m.c) * u
+    return [
+        (x0, (d - m.a) * h),
+        (x0 + u, (d - m.a) * h),
+        (x0 + u / 2, (d - 1 - m.a) * h),
+    ]
+
+
+def _down_vertices(m: Monomial, d: int, u: float, h: float) -> list[tuple[float, float]]:
+    x0 = ((m.a + 1) / 2 + m.c) * u
+    return [
+        (x0, (d - 1 - m.a) * h),
+        (x0 + u, (d - 1 - m.a) * h),
+        (x0 + u / 2, (d - m.a) * h),
+    ]
+
+
+def region_svg_oracle(region: TriangularRegion, options: RenderOptions = RenderOptions()) -> str:
+    """``region_svg`` with every vertex of every triangle computed and
+    formatted on its own, and the labels and punctures sorted here."""
+    u = options.unit
+    h = math.sqrt(3) / 2 * u
+    d = region.d
+    body: list[str] = []
+    for cls, fill, labels, vertices in (
+        ("up", UP_FILL, region.up_labels, _up_vertices),
+        ("down", DOWN_FILL, region.down_labels, _down_vertices),
+    ):
+        for m in sorted(labels, key=revlex_key):
+            pts = vertices(m, d, u, h)
+            body.append(
+                f'<polygon class="{cls}" points="{_points(pts)}" '
+                f'fill="{fill}" stroke="{STROKE}" stroke-width="1"/>'
+            )
+            if options.show_labels:
+                cx = sum(p[0] for p in pts) / 3
+                cy = sum(p[1] for p in pts) / 3 + u / 10
+                body.append(_label_text(m, cx, cy, u))
+    if options.shade_punctures:
+        for p in sorted(puncture_list(region), key=lambda p: revlex_key(p.generator)):
+            g, s = p.generator, p.side_length
+            x0 = (g.a / 2 + g.c) * u
+            pts = [
+                (x0, (d - g.a) * h),
+                (x0 + s * u, (d - g.a) * h),
+                (x0 + s * u / 2, (d - g.a - s) * h),
+            ]
+            extra = ""
+            if options.mark_floating and p.floating:
+                extra = f' stroke="{FLOATING_STROKE}" stroke-width="2" stroke-dasharray="4 2"'
+            body.append(
+                f'<polygon class="puncture" points="{_points(pts)}" '
+                f'fill="{PUNCTURE_FILL}" fill-opacity="0.6"{extra}/>'
+            )
+    return _document(d, u, h, body)
+
+
+def tiling_svg_oracle(
+    region: TriangularRegion, tiling: Tiling, options: RenderOptions = RenderOptions()
+) -> str:
+    """``tiling_svg`` of a valid tiling, each rhombus from the vertices of
+    its two triangles and its direction from ``Lozenge.direction``."""
+    u = options.unit
+    h = math.sqrt(3) / 2 * u
+    d = region.d
+    body: list[str] = []
+    for loz in sorted(tiling.lozenges, key=lambda l: revlex_key(l.down_label)):
+        mu = loz.down_label
+        down = _down_vertices(mu, d, u, h)
+        up = _up_vertices(loz.up_label, d, u, h)
+        direction = loz.direction()
+        if direction == X:
+            # up sits on the top edge of the down triangle
+            quad = [up[2], up[1], down[2], down[0]]
+            fill = LOZENGE_FILLS["x"]
+        elif direction == Y:
+            # up hangs off the lower-left edge
+            quad = [down[1], down[2], up[0], up[2]]
+            fill = LOZENGE_FILLS["y"]
+        else:
+            # up hangs off the lower-right edge
+            quad = [down[0], down[2], up[1], up[2]]
+            fill = LOZENGE_FILLS["z"]
+        body.append(
+            f'<polygon class="lozenge" points="{_points(quad)}" '
+            f'fill="{fill}" stroke="{STROKE}" stroke-width="1"/>'
+        )
+        if options.show_labels:
+            cx = sum(p[0] for p in quad) / 4
+            cy = sum(p[1] for p in quad) / 4 + u / 10
+            body.append(_label_text(mu, cx, cy, u))
+    return _document(d, u, h, body)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -284,6 +285,87 @@ class TestArtifacts:
         assert payload["determinant"] == "-2"
         assert payload["permanent"] == "2"
         assert payload["rank"] == 3
+
+
+#: sha256 of the output of ``tile`` and ``region --svg region.svg``, and of
+#: the files ``region --svg`` and ``render --tiling`` write, for the large
+#: benchmark regions: the hexagons x^k, y^k, z^k at d = 3k/2 = 24 .. 48 and
+#: ``convenient_family`` (8, 20) and (6, 25).  Fixed before the SVG writer
+#: moved to coordinate tables and the label orders to one sort per region.
+LARGE_REGION_PINS = [
+    (
+        "x^16, y^16, z^16", 24,
+        "1f5fb796e0496eb78269f286e27e2ea9592da1245f5ef420ccfec97dd20539e4",
+        "196291c17d49b8688c522c2fe538a18e26d9fd99370a3b7cdbd19cf0125260ca",
+        "1c84c7187db9368852a99454d9ad3b7c3eba8ad9fddd6ce5ddf6d10908eb68be",
+        "6bbfd15f1ae1fb01b1ad4369c98466d5034ea8b437deb46d8d0a69c9ac8f099c",
+    ),
+    (
+        "x^20, y^20, z^20", 30,
+        "cbc7a6b9df0a81d8ddc0f5188ccbc1c0cff86aa79700a4b86d5b26ad909bacec",
+        "702c4ab485c2567baa369927e162b6633fbc5fc3a82284c29330a5431485d903",
+        "b1e572c7d3a73b23b28d3a4ffa390da8440ccbfc88cb659528e969ac2ae10047",
+        "b8878480e56578a87a7ead4cbaa8dd40002f3cb9a6691bdfebedee75cb13624a",
+    ),
+    (
+        "x^24, y^24, z^24", 36,
+        "375a2613586cb48b449e70801c789ee589b163e02055562c4619c2e6e08709e7",
+        "c704594cbaf493e9e3cab5f2d315199527d97b5ae40ee59255b2743d30e3ba23",
+        "1587689693b5ec45119da9078103819ae993608d8a74ba9bb148f45582a01e7e",
+        "c45688efeb13c9b926e394e6ab769beba6a45cd54ce517eed7e98204673c7283",
+    ),
+    (
+        "x^28, y^28, z^28", 42,
+        "76f4b64553e455db0e66fbe9916014e367edd9738afde1b33310bb59e97bc930",
+        "82330119a7a26e3ca643ecbc0ad8e4b86a744c078411c012c400678ce2149888",
+        "c693b4f71d443c84d0b1edf7b9150eb18020f496ff8f8ad7b28f1b170ded4ce8",
+        "593a0fd57f5ac21b995c17bc7b67efa28e44421f6dc0e6b82e4f969e527ed19e",
+    ),
+    (
+        "x^32, y^32, z^32", 48,
+        "2a0c79e186ed348460f65e4360999df1066204c8f0cf02d8c837de7f28cb20f3",
+        "565f7d6281c6d509f170a14c155023061f87b7f369b53ca5990e73d97b74806c",
+        "895d64374a905b07f03d2c774d73db2ab8084d563ce08c8179095c0e467d5d6b",
+        "1a38ff0baee1efaf20bf234041d8517d53052edb4401f8677e6912f1eb1d6d13",
+    ),
+    (
+        "x^12, y^19, x*y^9*z^8, x^6*y^2*z^10, x*y^5*z^12, x^3*y^2*z^13, x*y*z^16, z^19", 20,
+        "ee9b67dec3f976773a3dd8f9bc699cc70033cdfdc8d94ccbe147c50a17d45a83",
+        "734813ec11bc3162038a159630b3d9213953cffa618e1c8f813b9189aaafc2bf",
+        "b0c57f2b39d69a21b3fec0aa28fe6ec9d15b5154a5d85ff912f415e5a0fb6950",
+        "97f9f1a320920c8c94834ecb61d87aa5ff556030c47fed347fa02aac332d1575",
+    ),
+    (
+        "x^8, y^24, x*y^5*z^17, x^3*y^2*z^18, x*y*z^21, z^24", 25,
+        "f08c1ea024e9139749a99fccdd23725b05e543bfd7eae476c049deead652542f",
+        "705c60f959f7fa6f330d3f4552e77ec7d957b61027040f0e0aea4c248878795a",
+        "fb7921853532c31b533888bb75ee03cc5a65c1106b1aa3cdcd601c2aeb0667b4",
+        "81a3c21ef4cb2b4e73b5a3ce7f88b499dd9040139c09c6dc0170e4c3fd43fe87",
+    ),
+]
+
+
+class TestLargeRegionBytes:
+    @pytest.mark.parametrize(
+        "text, d, tile, region, region_svg, tiling_svg",
+        LARGE_REGION_PINS,
+        ids=[f"{pin[0]} @ {pin[1]}" for pin in LARGE_REGION_PINS],
+    )
+    def test_pinned_bytes(self, capsys, tmp_path, monkeypatch, text, d, tile, region, region_svg, tiling_svg):
+        monkeypatch.chdir(tmp_path)  # the region output names its SVG path
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        common = ("--ideal", text, "--degree", str(d))
+        code, out, _ = run(capsys, "tile", *common)
+        assert code == 0 and sha(out.encode()) == tile
+        code, out, _ = run(capsys, "region", *common, "--svg", "region.svg")
+        assert code == 0 and sha(out.encode()) == region
+        code, _, _ = run(capsys, "render", *common, "--tiling", "--out", "tiling.svg")
+        assert code == 0
+        assert sha(Path("region.svg").read_bytes()) == region_svg
+        assert sha(Path("tiling.svg").read_bytes()) == tiling_svg
 
 
 class TestDeterminismAndFormats:

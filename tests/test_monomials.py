@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import triregion.monomials
+from triregion.monomials import _texts
 from triregion import (
     IdealSyntaxError,
     Monomial,
@@ -61,6 +62,29 @@ class TestMonomial:
         assert str(m(2, 1, 0)) == "x^2*y"
         assert str(ONE) == "1"
         assert str(m(1, 5, 1)) == "x*y^5*z"
+
+    @staticmethod
+    def old_str(mono):
+        """The formatting ``Monomial.__str__`` had before its factor strings."""
+        parts = [
+            v if e == 1 else f"{v}^{e}"
+            for v, e in zip("xyz", (mono.a, mono.b, mono.c))
+            if e > 0
+        ]
+        return "*".join(parts) if parts else "1"
+
+    def test_str_matches_old_formatting(self):
+        every = [mono for j in range(11) for mono in monomials_of_degree(j)]
+        texts = [self.old_str(mono) for mono in every]
+        assert [str(mono) for mono in every] == texts
+        assert _texts(every, 10) == texts
+        assert _texts(reversed(every), 12) == texts[::-1]
+        assert str(m(1000, 0, 7)) == self.old_str(m(1000, 0, 7)) == "x^1000*z^7"
+
+    def test_str_parse_round_trip(self):
+        for j in range(11):
+            for mono in monomials_of_degree(j):
+                assert parse_ideal(str(mono)).generators == (mono,)
 
 
 class TestRevlexOrder:

@@ -17,14 +17,17 @@ from triregion import (
     build_region,
     monomial_ideal_of_region,
     monomial_subregion,
+    monomials_of_degree,
     overpuncturing,
     overpuncturing_ideal,
     parse_ideal,
     puncture_list,
     region_json,
     relate_punctures,
+    revlex_key,
     triangle_counts,
 )
+from triregion.tilings import _adjacency
 from conftest import (
     artinian_ideals,
     label_sets,
@@ -335,3 +338,54 @@ class TestRegionJson:
                 {"generator": "z^3", "side": 1, "floating": False},
             ],
         }
+
+
+def assert_label_order(region):
+    """Both label orders and the adjacency equal a fresh revlex sort, and a
+    region raw-built from the same labels is equal, with an equal hash."""
+    downs = sorted(region.down_labels, key=revlex_key)
+    ups = sorted(region.up_labels, key=revlex_key)
+    raw = TriangularRegion(region.d, frozenset(region.up_labels), frozenset(region.down_labels))
+    assert raw == region and hash(raw) == hash(region)  # raw has sorted nothing yet
+    for r in (region, raw):
+        assert r.up_sorted() == ups and r.down_sorted() == downs
+        index = {nu: k for k, nu in enumerate(ups)}
+        neighbors = [
+            tuple(index[mu * v] for v in (m(1, 0, 0), m(0, 1, 0), m(0, 0, 1)) if mu * v in index)
+            for mu in downs
+        ]
+        assert _adjacency(r) == (downs, ups, neighbors)
+    assert raw == region and hash(raw) == hash(region)
+
+
+class TestLabelOrder:
+    """Each side of a region is sorted once, or handed over already in
+    order by ``build_region``; every reader sees a plain revlex sort."""
+
+    def test_built_regions(self, corpus):
+        for ideal, d in corpus:
+            assert_label_order(build_region(ideal, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(artinian_ideals())
+    def test_built_random(self, drawn):
+        assert_label_order(build_region(*drawn))
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_sets(balanced=False))
+    def test_raw_labels(self, region):
+        assert_label_order(region)
+
+    def test_subregions(self, corpus):
+        for ideal, d in corpus[:100]:
+            region = build_region(ideal, d)
+            for j in range(d):
+                for mono in monomials_of_degree(j)[:4]:
+                    assert_label_order(monomial_subregion(region, mono))
+
+    def test_sorted_copies_are_fresh(self):
+        region = build_region(parse_ideal("xy, y^2, z^3"), 4)
+        region.up_sorted().clear()
+        region.down_sorted().reverse()
+        assert_label_order(region)
+        assert region_json(region)["up"] == ["x^3", "x^2*z", "x*z^2", "y*z^2"]

@@ -1,10 +1,11 @@
-"""SVG output: determinism, counts, well-formedness."""
+"""SVG output: bytes against the per-vertex oracle, counts, well-formedness."""
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
 
 from triregion import (
     Lozenge,
@@ -12,12 +13,44 @@ from triregion import (
     MonomialIdeal,
     RenderOptions,
     Tiling,
+    TriangularRegion,
     build_region,
     find_tiling,
     parse_ideal,
     region_svg,
     tiling_svg,
 )
+from conftest import (
+    _down_vertices,
+    _up_vertices,
+    artinian_regions,
+    region_svg_oracle,
+    tiling_svg_oracle,
+)
+
+#: Units whose coordinates round differently.  At 2.345 and 0.003 many x
+#: values fall on a rounding boundary of the 3-decimal format, so a table
+#: keyed or computed by another float expression than the per-vertex one
+#: changes some byte there.
+UNITS = (40.0, 17.3, 0.7, 1 / 3, 2.345, 0.003)
+
+#: Every flag on or off at least once; the labels add float centroids.
+FLAGS = (
+    {},
+    {"show_labels": True, "mark_floating": True},
+    {"shade_punctures": False, "show_labels": True},
+)
+
+
+def assert_oracle_bytes(region, options_list):
+    tiling = find_tiling(region)
+    for options in options_list:
+        assert region_svg(region, options) == region_svg_oracle(region, options)
+        if tiling is not None:
+            assert tiling_svg(region, tiling, options) == tiling_svg_oracle(region, tiling, options)
+            # a tiling built from its lozenge set alone sorts them itself
+            rebuilt = Tiling(frozenset(tiling.lozenges))
+            assert tiling_svg(region, rebuilt, options) == tiling_svg_oracle(region, tiling, options)
 
 
 def polygon_count(svg: str, cls: str) -> int:
@@ -66,7 +99,6 @@ class TestEmbedding:
     def test_adjacency_matches_shared_edges(self):
         # the algebraic rule "up = variable * down" must coincide with the
         # two triangles sharing exactly one edge in the lattice embedding
-        from triregion.render import _down_vertices, _up_vertices
         from triregion import monomials_of_degree
 
         d, unit, height = 6, 40.0, 34.641016
@@ -90,8 +122,6 @@ class TestEmbedding:
 
     def test_corner_labels_positioned(self):
         # x^{d-1} at the top, y^{d-1} bottom-left, z^{d-1} bottom-right
-        from triregion.render import _up_vertices
-
         d, unit, height = 5, 10.0, 8.6602540378
         top = _up_vertices(Monomial(d - 1, 0, 0), d, unit, height)
         left = _up_vertices(Monomial(0, d - 1, 0), d, unit, height)
@@ -130,3 +160,34 @@ class TestTilingSvg:
         region = build_region(parse_ideal("x^4, y^4, z^4"), 6)
         tiling = find_tiling(region)
         assert tiling_svg(region, tiling) == tiling_svg(region, tiling)
+
+
+class TestOracleBytes:
+    """``region_svg`` and ``tiling_svg`` write the oracle's bytes exactly."""
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_corpus(self, corpus, unit):
+        options_list = [RenderOptions(unit=unit, **flags) for flags in FLAGS]
+        for ideal, d in corpus:
+            assert_oracle_bytes(build_region(ideal, d), options_list)
+
+    @settings(max_examples=60, deadline=None)
+    @given(artinian_regions(max_d=14))
+    def test_artinian_regions(self, region):
+        assert_oracle_bytes(region, [RenderOptions(unit=u, **flags) for u in UNITS for flags in FLAGS])
+
+    def test_floating_and_labels(self):
+        # a floating puncture, marked, with labels, at an odd unit
+        options = RenderOptions(unit=17.3, show_labels=True, mark_floating=True)
+        floating = build_region(parse_ideal("xy^3z^2"), 10)
+        assert "stroke-dasharray" in region_svg(floating, options)
+        assert_oracle_bytes(floating, [options])
+
+    def test_raw_region(self):
+        # labels not cut out by an ideal, without a staircase order to hand over
+        region = TriangularRegion(
+            4,
+            frozenset({Monomial(3, 0, 0), Monomial(1, 1, 1), Monomial(0, 0, 3)}),
+            frozenset({Monomial(2, 0, 0), Monomial(0, 1, 1)}),
+        )
+        assert_oracle_bytes(region, [RenderOptions(unit=u, **flags) for u in UNITS for flags in FLAGS])

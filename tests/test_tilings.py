@@ -22,6 +22,7 @@ from triregion import (
     find_tiling,
     is_tileable_structural,
     parse_ideal,
+    revlex_key,
     tiling_json,
     triangle_counts,
     two_of_three,
@@ -369,6 +370,21 @@ class TestLozenge:
         region = build_region(parse_ideal("xy, y^2, z^3"), 4)
         payload = tiling_json(find_tiling(region))
         assert [entry["down"] for entry in payload] == ["x^2", "x*z", "y*z", "z^2"]
+
+    def test_handed_over_order_is_the_sort(self, corpus):
+        # find_tiling hands its lozenges over in order; a tiling rebuilt
+        # from the same set sorts them itself, and the two stay equal
+        for ideal, d in corpus:
+            tiling = find_tiling(build_region(ideal, d))
+            if tiling is None:
+                continue
+            rebuilt = Tiling(frozenset(tiling.lozenges))
+            assert rebuilt == tiling and hash(rebuilt) == hash(tiling)
+            expected = sorted(tiling.lozenges, key=lambda l: revlex_key(l.down_label))
+            assert tiling.sorted_lozenges() == rebuilt.sorted_lozenges() == expected
+            assert tiling_json(tiling) == tiling_json(rebuilt) == [
+                {"down": str(l.down_label), "up": str(l.up_label)} for l in expected
+            ]
 
 
 class TestTwoOfThree:
