@@ -4,15 +4,17 @@ A matrix is stored by rows of its nonzero entries, the form the elimination
 reads; a bi-adjacency row has at most three.  Everything is computed over
 the integers with Python's arbitrary-precision arithmetic; there is no
 floating point anywhere.  Rank and determinant come from one sparse row
-elimination over GF(p).  Modulo a prime above Hadamard's bound no minor
-vanishes that is nonzero over Q, so the rank mod p is exact and the
-determinant is its symmetric residue.  The rank is first computed modulo
-2^61 - 1, which proves full rank when it finds it.  The permanent is taken
-of 0/1 matrices only, the kind ``biadjacency`` builds: it is the number of
-perfect matchings.  For a region's bi-adjacency matrix it is |det K|, the
-determinant of the Kasteleyn signing that `triregion.tilings` reads off the
-region's holes; any other 0/1 matrix, and one of order below 6, goes to the
-backtracking matching counter.
+elimination over GF(p), from the last row up, in which every bi-adjacency
+row with an x-neighbour is a pivot as it stands.  Modulo a prime above
+Hadamard's bound no minor vanishes that is nonzero over Q, so the rank mod
+p is exact and the determinant is its symmetric residue.  The rank is
+first computed modulo 2^61 - 1, which proves full rank when it finds it.
+The permanent is taken of 0/1 matrices only, the kind ``biadjacency``
+builds: it is the number of perfect matchings.  For a region's
+bi-adjacency matrix it is |det K|, the determinant of the Kasteleyn
+signing that `triregion.tilings` reads off the region's holes; any other
+0/1 matrix, and one of order below 6, goes to the backtracking matching
+counter.
 """
 
 from __future__ import annotations
@@ -160,22 +162,28 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
     matrix is square and of full rank.
 
     Each row is reduced, as a sparse ``{column: value}`` dict, into an
-    echelon basis.  Reducing only subtracts earlier rows, so the determinant
+    echelon basis.  Reducing only subtracts other rows, so the determinant
     is the product of the pivots times the sign of the permutation that
-    sends each row to its leading column.
+    sends each row to its leading column.  The rows go in from the last
+    up: a bi-adjacency row's least column is its down label's x-neighbour,
+    which no later row holds, so every row that has one is a pivot as it
+    stands and only the others are reduced.
     """
-    # Leading column -> basis row, scaled to a leading 1; keys in row order.
+    # Leading column -> basis row, scaled to a leading 1; keys in reversed row order.
     basis: dict[int, dict[int, int]] = {}
     det = 1
-    for entries in matrix.row_entries:
+    for entries in reversed(matrix.row_entries):
         row = {j: v % p for j, v in entries if v % p}
         while row:
             lead = min(row)
             pivot = basis.get(lead)
             if pivot is None:
-                det = det * row[lead] % p
-                inverse = pow(row[lead], -1, p)
-                basis[lead] = {j: v * inverse % p for j, v in row.items()}
+                value = row[lead]
+                if value != 1:
+                    det = det * value % p
+                    inverse = pow(value, -1, p)
+                    row = {j: v * inverse % p for j, v in row.items()}
+                basis[lead] = row
                 break
             factor = row[lead]
             for j, v in pivot.items():
@@ -187,7 +195,8 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
     found = len(basis)
     if found != matrix.rows or found != matrix.cols:
         return found, 0
-    leads = list(basis)
+    # Every row gave a pivot, so row i's is the (found - 1 - i)-th key.
+    leads = list(basis)[::-1]
     for i in range(found):
         while leads[i] != i:
             k = leads[i]

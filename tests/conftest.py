@@ -210,6 +210,18 @@ def permutation_permanent(matrix: IntegerMatrix) -> int:
     return total
 
 
+def swapped_rows(matrix: IntegerMatrix, i: int, j: int) -> IntegerMatrix:
+    """Unlabelled copy of the matrix with rows i and j exchanged."""
+    rows = list(matrix.row_entries)
+    rows[i], rows[j] = rows[j], rows[i]
+    return IntegerMatrix(matrix.rows, matrix.cols, tuple(rows))
+
+
+def reversed_rows(matrix: IntegerMatrix) -> IntegerMatrix:
+    """Unlabelled copy of the matrix with its rows in reverse order."""
+    return IntegerMatrix(matrix.rows, matrix.cols, matrix.row_entries[::-1])
+
+
 def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:
     """Degree-j monomials outside the ideal in descending revlex order, each
     exponent triple tested against every generator."""

@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triregion import (
@@ -27,10 +27,19 @@ from triregion import (
     monomials_of_degree,
     parse_ideal,
     permanent,
+    rank,
 )
 from triregion import matrices
 from triregion.tilings import _kasteleyn_flips
-from conftest import hexagon, macmahon, permutation_permanent
+from conftest import (
+    fraction_determinant,
+    fraction_rank,
+    hexagon,
+    macmahon,
+    permutation_permanent,
+    reversed_rows,
+    swapped_rows,
+)
 
 #: Enumeration stops here in the property tests; capped draws are skipped.
 ORACLE_CAP = 20_000
@@ -96,6 +105,31 @@ def label_regions(draw):
         region.up_labels - {l.up_label for l in dropped},
         region.down_labels - {l.down_label for l in dropped},
     )
+
+
+def kasteleyn_matrix(region: TriangularRegion) -> IntegerMatrix:
+    """The region's bi-adjacency matrix, unlabelled, with the z-lozenges of
+    ``_kasteleyn_flips`` negated as ``permanent`` negates them."""
+    Z = biadjacency(region)
+    flips = _kasteleyn_flips(region)
+    rows = tuple(
+        row[:-1] + ((row[-1][0], -1),) if mu.exponents() in flips else row
+        for mu, row in zip(Z.row_labels, Z.row_entries)
+    )
+    return IntegerMatrix(Z.rows, Z.cols, rows)
+
+
+#: The d = 6 triangle less six up triangles.  The down triangle y^3 z has
+#: lost its x- and y-neighbours and its z-lozenge is negated, so its row of
+#: K is a lone -1.
+LONE_NEGATIVE_ROW = TriangularRegion(
+    6,
+    frozenset(monomials_of_degree(5)) - {
+        Monomial(0, 4, 1), Monomial(1, 1, 3), Monomial(1, 3, 1),
+        Monomial(1, 4, 0), Monomial(3, 1, 1), Monomial(5, 0, 0),
+    },
+    frozenset(monomials_of_degree(4)),
+)
 
 
 def assert_counted(region: TriangularRegion) -> None:
@@ -168,6 +202,28 @@ class TestKasteleynCount:
     @given(label_regions())
     def test_arbitrary_label_sets(self, region):
         assert_counted(region)
+
+
+class TestSignedRowOrder:
+    """A lead of K can be -1, which the elimination normalises; the row
+    order changes only the sign of det K."""
+
+    def test_lone_negative_row(self):
+        K = kasteleyn_matrix(LONE_NEGATIVE_ROW)
+        row = K.row_entries[biadjacency(LONE_NEGATIVE_ROW).row_labels.index(Monomial(0, 3, 1))]
+        assert len(row) == 1 and row[0][1] == -1
+        assert (determinant(K), rank(K)) == (-2, 15)
+        assert permanent(biadjacency(LONE_NEGATIVE_ROW)) == enumerate_tilings(LONE_NEGATIVE_ROW).count == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(label_regions(), st.randoms(use_true_random=False))
+    @example(LONE_NEGATIVE_ROW, random.Random(0))
+    def test_row_order(self, region, rnd):
+        K = kasteleyn_matrix(region)
+        assert rank(reversed_rows(K)) == rank(K) == fraction_rank(K)
+        if K.is_square() and K.rows >= 2:
+            i, j = rnd.sample(range(K.rows), 2)
+            assert determinant(swapped_rows(K, i, j)) == -determinant(K) == -fraction_determinant(K)
 
 
 class TestCounterFallback:

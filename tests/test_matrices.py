@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triregion import (
@@ -31,6 +31,8 @@ from conftest import (
     multiplication_matrix,
     permutation_permanent,
     random_artinian_ideal,
+    reversed_rows,
+    swapped_rows,
 )
 
 
@@ -47,6 +49,17 @@ def matrices_near_prime(draw, square=False):
     entry = st.builds(lambda small, k: small + k * PRIME, st.integers(-2, 2), st.integers(-1, 1))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
     # built from sparse rows, since a dense grid without rows cannot say m
+    return IntegerMatrix(n, m, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Integer matrices of order at most 7, about half zeros, whose nonzero
+    entries are mostly not 1, so most pivots are normalised."""
+    n = draw(st.integers(0, 7))
+    m = n if square else draw(st.integers(0, 7))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
     return IntegerMatrix(n, m, tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
 
 
@@ -154,6 +167,19 @@ class TestDeterminant:
                     Z = biadjacency(build_region(ideal, d))
                     assert abs(determinant(Z)) == macmahon(a, b, c)
 
+    def test_hexagon_degree_60(self):
+        # x^40, y^40, z^40: 1200 triangles of each kind and a 137-digit count
+        Z = biadjacency(build_region(*hexagon(20, 20, 20)))
+        assert permanent(Z) == abs(determinant(Z)) == macmahon(20, 20, 20)
+        assert rank(Z) == 1200
+
+    @settings(derandomize=True, deadline=None)
+    @given(sparse_matrices(square=True), st.randoms(use_true_random=False))
+    def test_row_swap_negates(self, M, rnd):
+        assume(M.rows >= 2)
+        i, j = rnd.sample(range(M.rows), 2)
+        assert determinant(swapped_rows(M, i, j)) == -determinant(M) == -fraction_determinant(M)
+
     def test_beyond_prime_table_rejected(self):
         M = IntegerMatrix.from_rows([[1 << _MERSENNE_EXPONENTS[-1]]])
         with pytest.raises(ValueError, match="too large"):
@@ -206,6 +232,11 @@ class TestRank:
     @given(matrices_near_prime())
     def test_against_fraction_oracle_near_prime(self, M):
         assert rank(M) == fraction_rank(M)
+
+    @settings(derandomize=True, deadline=None)
+    @given(sparse_matrices())
+    def test_reversed_rows_keep_rank(self, M):
+        assert rank(reversed_rows(M)) == rank(M) == fraction_rank(M)
 
     def test_failing_wlp_degree(self):
         # degree 4k of x^3k, y^3k, z^3k, x^k y^k z^k is singular; at k = 5 its
