@@ -10,11 +10,10 @@ Hadamard's bound no minor vanishes that is nonzero over Q, so the rank mod
 p is exact and the determinant is its symmetric residue.  The rank is
 first computed modulo 2^61 - 1, which proves full rank when it finds it.
 The permanent is taken of 0/1 matrices only, the kind ``biadjacency``
-builds: it is the number of perfect matchings.  For a region's
-bi-adjacency matrix it is |det K|, the determinant of the Kasteleyn
+builds: it is the number of perfect matchings.  For a matrix that
+``biadjacency`` built it is |det K|, the determinant of the Kasteleyn
 signing that `triregion.tilings` reads off the region's holes; any other
-0/1 matrix, and one of order below 6, goes to the backtracking matching
-counter.
+0/1 matrix goes to the backtracking matching counter.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ _MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
 )
-
-#: Below this order a 0/1 matrix has at most 5! = 120 perfect matchings,
-#: and the matching counter finds them sooner than a determinant is taken.
-_COUNTER_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -112,11 +107,14 @@ def biadjacency(region: TriangularRegion) -> IntegerMatrix:
 
     Entry (mu, nu) is 1 exactly when nu is x*mu, y*mu or z*mu; transposing
     gives the multiplication-by-(x+y+z) matrix between the two monomial
-    bases.
+    bases.  The matrix records its region, not as a field, so ``permanent``
+    counts its tilings as |det K|; any new matrix made from it does not.
     """
     downs, ups, neighbors = _adjacency(region)
     rows = tuple(tuple((k, 1) for k in near) for near in neighbors)
-    return IntegerMatrix(len(downs), len(ups), rows, tuple(downs), tuple(ups))
+    matrix = IntegerMatrix(len(downs), len(ups), rows, tuple(downs), tuple(ups))
+    vars(matrix)["_region"] = region  # the source region, not a field
+    return matrix
 
 
 def determinant(matrix: IntegerMatrix) -> int:
@@ -208,12 +206,10 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
 def permanent(matrix: IntegerMatrix) -> int:
     """Exact permanent of a square 0/1 matrix; 0x0 gives 1.
 
-    It counts the matrix's perfect matchings.  A region's bi-adjacency
-    matrix of order 6 or more counts the tilings as |det K|, for the
-    Kasteleyn signing K that `triregion.tilings` reads off the region's
-    holes, in polynomial time.  Any other 0/1 matrix (a smaller one, an
-    unlabelled one, or one that is not exactly the bi-adjacency matrix of
-    the region its labels name) goes to the backtracking matching counter,
+    It counts the matrix's perfect matchings.  A matrix that ``biadjacency``
+    built counts its region's tilings as |det K|, for the Kasteleyn signing
+    K that `triregion.tilings` reads off the region's holes, in polynomial
+    time.  Any other 0/1 matrix goes to the backtracking matching counter,
     which is exponential in general.  Any other entry raises ``ValueError``.
     """
     if not matrix.is_square():
@@ -221,7 +217,7 @@ def permanent(matrix: IntegerMatrix) -> int:
     rows = matrix.row_entries
     if any(v != 1 for row in rows for _, v in row):
         raise ValueError("permanent requires a 0/1 matrix")
-    region = _labelled_region(matrix) if matrix.rows >= _COUNTER_ORDER else None
+    region = vars(matrix).get("_region")
     if region is None:
         return _count_perfect_matchings([tuple(j for j, _ in row) for row in rows]).count
     flips = _kasteleyn_flips(region)
@@ -233,26 +229,6 @@ def permanent(matrix: IntegerMatrix) -> int:
         )
         matrix = IntegerMatrix(matrix.rows, matrix.cols, signed)
     return abs(determinant(matrix))
-
-
-def _labelled_region(matrix: IntegerMatrix) -> TriangularRegion | None:
-    """The region whose ``biadjacency`` is exactly this 0/1 matrix, labels
-    and their order included, or None.  The rows are compared with the
-    region's adjacency as they stand; no second matrix is built."""
-    downs, ups = matrix.row_labels, matrix.col_labels
-    if not ups or downs is None:
-        return None
-    try:
-        region = TriangularRegion(ups[0].degree() + 1, frozenset(ups), frozenset(downs))
-    except ValueError:
-        return None
-    sorted_downs, sorted_ups, neighbors = _adjacency(region)
-    same = (
-        tuple(sorted_downs) == downs
-        and tuple(sorted_ups) == ups
-        and neighbors == [tuple(j for j, _ in row) for row in matrix.row_entries]
-    )
-    return region if same else None
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:

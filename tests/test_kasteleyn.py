@@ -227,8 +227,8 @@ class TestSignedRowOrder:
 
 
 class TestCounterFallback:
-    """A matrix that is not exactly its labels' bi-adjacency gets the
-    counter's answer, never |det K|."""
+    """A matrix not built by ``biadjacency`` gets the counter's answer,
+    never |det K|."""
 
     @pytest.fixture
     def counter_calls(self, monkeypatch):
@@ -243,22 +243,38 @@ class TestCounterFallback:
         return calls
 
     # six rows, 2 tilings and det Z = 0: its hole needs a sign flip
-    Z = biadjacency(build_region(parse_ideal("x^3, y^3, z^3, xyz"), 4))
+    REGION = build_region(parse_ideal("x^3, y^3, z^3, xyz"), 4)
+    Z = biadjacency(REGION)
 
-    def test_region_takes_the_determinant(self, counter_calls):
-        assert permanent(self.Z) == 2
+    @pytest.mark.parametrize(
+        "region, count",
+        [
+            (REGION, 2),
+            (build_region(parse_ideal("x^2, y^2, z^2"), 3), 2),
+            (TriangularRegion(3, frozenset(), frozenset()), 1),
+            (LONE_NEGATIVE_ROW, 2),
+        ],
+        ids=["order6-flip", "order3", "empty", "lone-negative-row"],
+    )
+    def test_region_takes_the_determinant(self, region, count, counter_calls):
+        assert permanent(biadjacency(region)) == count
         assert counter_calls == []
 
     @pytest.mark.parametrize(
         "M",
         [
+            replace(Z),
+            IntegerMatrix(Z.rows, Z.cols, Z.row_entries, Z.row_labels, Z.col_labels),
             Z.transpose(),
             replace(Z, row_entries=Z.row_entries[1:] + Z.row_entries[:1]),
             replace(Z, row_entries=(Z.row_entries[0][1:],) + Z.row_entries[1:]),
             replace(Z, row_labels=tuple(m * X for m in Z.row_labels)),
             IntegerMatrix.from_rows([list(row) for row in Z.entries]),
         ],
-        ids=["transpose", "rows-permuted", "entry-dropped", "label-degree", "unlabelled"],
+        ids=[
+            "identical-copy", "identical-matrix", "transpose", "rows-permuted",
+            "entry-dropped", "label-degree", "unlabelled",
+        ],
     )
     def test_other_matrices_take_the_counter(self, M, counter_calls):
         assert permanent(M) == permutation_permanent(M)

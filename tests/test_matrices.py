@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 from triregion import (
     IntegerMatrix,
-    TriangularRegion,
     X,
     biadjacency,
     build_region,
     convenient_family,
     determinant,
+    enumerate_tilings,
     matrix_json,
     parse_ideal,
     permanent,
     rank,
 )
-from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime, _labelled_region
+from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime
+from triregion.tilings import _count_perfect_matchings
 from conftest import (
     fraction_determinant,
     fraction_rank,
@@ -290,26 +291,30 @@ class TestPermanent:
         with pytest.raises(ValueError, match="0/1"):
             permanent(M)
 
-    def test_labelled_region_is_exact_biadjacency(self):
-        # accepted exactly when the matrix is the bi-adjacency matrix of the
-        # region its labels name, labels and their order included
-        def oracle(M):
-            try:
-                region = TriangularRegion(M.col_labels[0].degree() + 1,
-                                          frozenset(M.col_labels), frozenset(M.row_labels))
-            except ValueError:
-                return False
-            return biadjacency(region) == M
+    def test_only_biadjacency_output_counts_as_a_region(self):
+        # biadjacency's own matrix counts the tilings; every matrix made
+        # from it, an unchanged copy included, gets the counter's answer,
+        # and the recorded region is not a field
+        def counter(M):
+            return _count_perfect_matchings([tuple(j for j, _ in row) for row in M.row_entries]).count
 
         rng = random.Random(113)
-        accepted = 0
+        counted = 0
         for _ in range(80):
-            Z = biadjacency(build_region(*random_artinian_ideal(rng)))
-            if not Z.col_labels or not Z.row_labels:
+            region = build_region(*random_artinian_ideal(rng))
+            Z = biadjacency(region)
+            copy = replace(Z)
+            plain = IntegerMatrix(Z.rows, Z.cols, Z.row_entries, Z.row_labels, Z.col_labels)
+            for M in (copy, plain):
+                assert M == Z and hash(M) == hash(Z) and repr(M) == repr(Z)
+            if not Z.is_square() or not Z.col_labels or not Z.row_labels:
                 continue
+            tilings = enumerate_tilings(region)
+            assert tilings.exact
+            assert permanent(Z) == tilings.count
             rows, downs, ups = Z.row_entries, Z.row_labels, Z.col_labels
             variants = [
-                Z,
+                copy,
                 replace(Z, row_entries=rows[1:] + rows[:1]),
                 replace(Z, row_entries=(rows[0][1:],) + rows[1:]),
                 replace(Z, row_labels=downs[1:] + downs[:1], row_entries=rows[1:] + rows[:1]),
@@ -318,10 +323,9 @@ class TestPermanent:
                 replace(Z, row_labels=downs[:1] * len(downs)),
             ]
             for M in variants:
-                found = _labelled_region(M)
-                assert (found is not None) == oracle(M)
-                accepted += found is not None
-        assert accepted > 0
+                assert permanent(M) == counter(M)
+            counted += 1
+        assert counted > 0
 
     def test_determinant_bounded_by_permanent(self):
         rng = random.Random(89)
