@@ -19,10 +19,14 @@ signing that `triregion.tilings` reads off the region's holes; any other
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .monomials import Monomial
-from .regions import TriangularRegion
-from .tilings import _adjacency, _count_perfect_matchings, _kasteleyn_flips
+from .regions import TriangularRegion, _adjacency
+from .tilings import _count_perfect_matchings, _kasteleyn_flips
+
+#: A sparse row: its nonzero ``(column, value)`` entries in ascending column order.
+_Row = tuple[tuple[int, int], ...]
 
 # Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
 _RANK_PRIME = (1 << 61) - 1
@@ -46,7 +50,7 @@ class IntegerMatrix:
 
     rows: int
     cols: int
-    row_entries: tuple[tuple[tuple[int, int], ...], ...]
+    row_entries: tuple[_Row, ...]
     row_labels: tuple[Monomial, ...] | None = None
     col_labels: tuple[Monomial, ...] | None = None
 
@@ -121,8 +125,9 @@ def determinant(matrix: IntegerMatrix) -> int:
     """Exact determinant by elimination modulo ``_exact_prime``; 0x0 gives 1."""
     if not matrix.is_square():
         raise ValueError("determinant requires a square matrix")
-    p = _exact_prime(matrix)
-    residue = _eliminate(matrix, p)[1]
+    rows = matrix.row_entries
+    p = _exact_prime(rows)
+    residue = _eliminate(rows, matrix.cols, p)[1]
     return residue - p if residue > p // 2 else residue
 
 
@@ -133,21 +138,26 @@ def rank(matrix: IntegerMatrix) -> int:
     rank over Q.  A smaller rank is recomputed modulo the ``_exact_prime``
     of the matrix when that prime is wider.
     """
-    full = min(matrix.rows, matrix.cols)
-    found = _eliminate(matrix, _RANK_PRIME)[0]
-    if found == full:
+    return _rank(matrix.row_entries, matrix.cols)
+
+
+def _rank(rows: Sequence[_Row], cols: int) -> int:
+    """``rank`` of the matrix with these rows and ``cols`` columns."""
+    found = _eliminate(rows, cols, _RANK_PRIME)[0]
+    if found == min(len(rows), cols):
         return found
-    p = _exact_prime(matrix)
-    return found if p == _RANK_PRIME else _eliminate(matrix, p)[0]
+    p = _exact_prime(rows)
+    return found if p == _RANK_PRIME else _eliminate(rows, cols, p)[0]
 
 
-def _exact_prime(matrix: IntegerMatrix) -> int:
+def _exact_prime(rows: Sequence[_Row]) -> int:
     """The least Mersenne prime p = 2^e - 1 with 2^(2e-2) > 4B, where B is
-    Hadamard's bound on the square of every minor.  Every minor lies strictly
-    between -p/2 and p/2, so mod p it vanishes only when it is 0, and the
-    symmetric residue of the determinant is the determinant."""
+    Hadamard's bound on the square of every minor of the matrix with these
+    rows.  Every minor lies strictly between -p/2 and p/2, so mod p it
+    vanishes only when it is 0, and the symmetric residue of the
+    determinant is the determinant."""
     bound = 1
-    for row in matrix.row_entries:
+    for row in rows:
         bound *= max(1, sum(v * v for _, v in row))
     for e in _MERSENNE_EXPONENTS:
         if 1 << (2 * e - 2) > 4 * bound:
@@ -155,9 +165,10 @@ def _exact_prime(matrix: IntegerMatrix) -> int:
     raise ValueError("matrix entries are too large: Hadamard's bound passes the prime table")
 
 
-def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
-    """Rank over GF(p) and the determinant mod p, which is 0 unless the
-    matrix is square and of full rank.
+def _eliminate(rows: Sequence[_Row], cols: int, p: int) -> tuple[int, int]:
+    """Rank over GF(p) and the determinant mod p of the matrix with these
+    rows and ``cols`` columns; the determinant is 0 unless the matrix is
+    square and of full rank.
 
     Each row is reduced, as a sparse ``{column: value}`` dict, into an
     echelon basis.  Reducing only subtracts other rows, so the determinant
@@ -170,7 +181,7 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
     # Leading column -> basis row, scaled to a leading 1; keys in reversed row order.
     basis: dict[int, dict[int, int]] = {}
     det = 1
-    for entries in reversed(matrix.row_entries):
+    for entries in reversed(rows):
         row = {j: v % p for j, v in entries if v % p}
         while row:
             lead = min(row)
@@ -191,7 +202,7 @@ def _eliminate(matrix: IntegerMatrix, p: int) -> tuple[int, int]:
                 else:
                     del row[j]
     found = len(basis)
-    if found != matrix.rows or found != matrix.cols:
+    if found != len(rows) or found != cols:
         return found, 0
     # Every row gave a pivot, so row i's is the (found - 1 - i)-th key.
     leads = list(basis)[::-1]

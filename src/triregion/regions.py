@@ -11,6 +11,9 @@ the punctures, is read off one label staircase: h[c][b] is 1 + the largest
 a over the labels x^a' y^b' z^c', up or down, with b' >= b and c' >= c, so
 x^a y^b z^c divides a label iff a < h[c][b].  This suffix maximum over b,
 then over c, is the dual of ``MonomialIdeal._staircase`` and costs O(d^2).
+The lozenge adjacency is read off cells as well: one neighbour rule, on a
+table keyed by cell, serves region labels here and the rows that
+`triregion.lefschetz` reads off an ideal's staircase.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
+from typing import Iterable
 
 from .monomials import Monomial, MonomialIdeal, _check_degree, _texts, revlex_key
 
@@ -106,6 +110,33 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
     # fill the cached label orders, which are not fields: equality and hash are unchanged
     vars(region).update(_up_order=tuple(up), _down_order=tuple(down))
     return region
+
+
+def _neighbours(column: dict[int, object], d: int, downs: Iterable[int]) -> list[tuple]:
+    """The lozenge adjacency of a side-d region on cell keys.
+
+    A label of degree d-1 or d-2 is fixed by its cell (b, c), keyed c*d + b.
+    ``column`` maps each up cell's key to what a row holds for it: its
+    column, or a ``(column, 1)`` matrix entry.  The down label in cell
+    (b, c) has its x-, y- and z-neighbours in up cells (b, c), (b+1, c) and
+    (b, c+1), keys k, k+1 and k+d.  Each down key gets the values of its up
+    neighbours in x, y, z order, ascending with descending revlex columns.
+    """
+    get = column.get
+    rows = []
+    for k in downs:
+        near = (get(k), get(k + 1), get(k + d))
+        rows.append(near if None not in near else tuple(j for j in near if j is not None))
+    return rows
+
+
+def _adjacency(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial], list[tuple[int, ...]]]:
+    """Down and up labels in descending revlex order, and for each down label
+    the indices of its up neighbours in x, y, z order (ascending index).
+    The cell table holds one entry per up label, not one per cell."""
+    d, downs, ups = region.d, region.down_sorted(), region.up_sorted()
+    column = {m.c * d + m.b: k for k, m in enumerate(ups)}
+    return downs, ups, _neighbours(column, d, [m.c * d + m.b for m in downs])
 
 
 def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:

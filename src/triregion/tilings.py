@@ -20,6 +20,7 @@ from .monomials import Monomial, MonomialIdeal, _texts, monomials_of_degree, rev
 from .regions import (
     Balance,
     TriangularRegion,
+    _adjacency,
     monomial_ideal_of_region,
     overpuncturing_ideal,
     triangle_counts,
@@ -81,19 +82,6 @@ class StructuralTileability:
     tileable: bool
     unbalanced: bool
     heavy_witness: Monomial | None
-
-
-def _adjacency(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial], list[tuple[int, ...]]]:
-    """Down and up labels in descending revlex order, and for each down label
-    the indices of its up neighbours in x, y, z order (ascending index)."""
-    downs, ups = region.down_sorted(), region.up_sorted()
-    up_index = {m.exponents(): k for k, m in enumerate(ups)}
-    neighbors = []
-    for mu in downs:
-        a, b, c = mu.a, mu.b, mu.c
-        near = (up_index.get((a + 1, b, c)), up_index.get((a, b + 1, c)), up_index.get((a, b, c + 1)))
-        neighbors.append(tuple(k for k in near if k is not None))
-    return downs, ups, neighbors
 
 
 def _root(parent: dict, v):

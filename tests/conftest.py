@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: ranks and
-determinants come from Fraction-based Gaussian elimination, permanents from
+determinants come from Fraction-based Gaussian elimination, the lozenge
+adjacency from a dict of exponent triples, permanents from
 permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
 degrees from membership tests degree by degree, region ideals, structural
@@ -194,6 +195,21 @@ def hexagon(a: int, b: int, c: int) -> tuple[MonomialIdeal, int]:
     d = a + b + c
     corners = [Monomial(d - a, 0, 0), Monomial(0, d - b, 0), Monomial(0, 0, d - c)]
     return MonomialIdeal.from_generators(corners), d
+
+
+def adjacency_oracle(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial], list[tuple[int, ...]]]:
+    """Down and up labels in descending revlex order, and for each down
+    label the indices of its up neighbours x*mu, y*mu, z*mu, looked up by
+    exponent triple."""
+    downs = sorted(region.down_labels, key=revlex_key)
+    ups = sorted(region.up_labels, key=revlex_key)
+    up_index = {m.exponents(): k for k, m in enumerate(ups)}
+    neighbors = []
+    for mu in downs:
+        a, b, c = mu.a, mu.b, mu.c
+        near = (up_index.get((a + 1, b, c)), up_index.get((a, b + 1, c)), up_index.get((a, b, c + 1)))
+        neighbors.append(tuple(k for k in near if k is not None))
+    return downs, ups, neighbors
 
 
 def permutation_permanent(matrix: IntegerMatrix) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from triregion import (
     Balance,
+    DegreeRecord,
     Monomial,
     MonomialIdeal,
     NotArtinianError,
@@ -25,7 +26,7 @@ from triregion import (
     wlp_in_degree,
 )
 from triregion import lefschetz, monomials
-from triregion.matrices import _exact_prime, rank
+from triregion.matrices import _exact_prime, _rank, rank
 from conftest import fraction_rank, random_artinian_ideal
 
 
@@ -75,7 +76,7 @@ class TestHasWlp:
         assert report.failing_degree == 36
         record = report.records[-1]
         assert (record.d, record.rows, record.cols, record.rank) == (36, 486, 486, 485)
-        assert _exact_prime(biadjacency(build_region(ideal, 36))) == (1 << 521) - 1
+        assert _exact_prime(biadjacency(build_region(ideal, 36)).row_entries) == (1 << 521) - 1
 
     def test_short_circuit_keeps_records(self):
         report = has_wlp(parse_ideal("x^6, y^7, z^8, xy^5z, xy^2z^3, x^3y^2z"))
@@ -125,8 +126,16 @@ class TestHasWlp:
                 assert has_wlp(permuted).verdict == base
 
 
+def region_record(ideal, d):
+    """The side-d record by the region route: a region of labels, its
+    bi-adjacency matrix and the public ``rank``."""
+    Z = biadjacency(build_region(ideal, d))
+    r = rank(Z)
+    return DegreeRecord(d=d, rows=Z.rows, cols=Z.cols, rank=r, maximal=r == min(Z.rows, Z.cols))
+
+
 def degreewise_records(ideal, scanned_through):
-    return tuple(wlp_in_degree(ideal, d) for d in range(1, scanned_through + 1))
+    return tuple(region_record(ideal, d) for d in range(1, scanned_through + 1))
 
 
 def degrees_past_surjective(report):
@@ -156,6 +165,37 @@ def scan_ideals(draw):
         for exps in draw(st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=4)):
             gens.append(Monomial(*(0 if v == lonely else e for v, e in enumerate(exps))))
     return MonomialIdeal.from_generators(gens)
+
+
+@st.composite
+def scan_sides(draw):
+    """A ``scan_ideals`` ideal and a side d from 1 to n + 3, where the
+    quotient vanishes in degree n = ``_quotient_degree()``: the last sides
+    have no up labels."""
+    ideal = draw(scan_ideals())
+    return ideal, draw(st.integers(1, ideal._quotient_degree() + 3))
+
+
+class TestStaircaseRecords:
+    """``wlp_in_degree`` reads its rows off the ideal's staircase; every
+    record must equal the region route's."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(scan_sides())
+    # singular, 486 x 486: the rank needs the 2^521 - 1 pass
+    @example((parse_ideal("x^27, y^27, z^27, x^9y^9z^9"), 36))
+    @example((parse_ideal("x^3, y^2, z^5"), 1))
+    @example((parse_ideal("x^3, y^2, z^5"), 2))
+    @example((parse_ideal("x, y, z"), 1))
+    @example((parse_ideal("x, y, z"), 2))
+    def test_random_sides(self, drawn):
+        ideal, d = drawn
+        assert wlp_in_degree(ideal, d) == region_record(ideal, d)
+
+    def test_degree_cap_checked(self, monkeypatch):
+        monkeypatch.setattr(monomials, "DEGREE_CAP", 20)
+        with pytest.raises(ValueError, match="degree 21 exceeds the safety cap 20"):
+            wlp_in_degree(parse_ideal("x^30, y^30, z^30"), 21)
 
 
 class TestRecordsPastSurjectivity:
@@ -196,11 +236,13 @@ class TestRecordsPastSurjectivity:
         # first becomes surjective at side 25, so only sides 24 and 25 need
         # a rank
         ranked = []
-        monkeypatch.setattr(lefschetz, "rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+        monkeypatch.setattr(
+            lefschetz, "_rank", lambda rows, cols: ranked.append((len(rows), cols)) or _rank(rows, cols)
+        )
         report = has_wlp(convenient_family(8, 25))
         assert report.verdict and report.scanned_through == 48
         assert len(ranked) == 2
-        assert [(m.rows, m.cols) for m in ranked] == [
+        assert ranked == [
             (r.rows, r.cols) for r in report.records if r.d in (24, 25)
         ]
 

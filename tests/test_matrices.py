@@ -155,7 +155,7 @@ class TestDeterminant:
             if rng.random() < 0.5:
                 rows[-1] = rows[0]
             M = IntegerMatrix.from_rows(rows)
-            assert _exact_prime(M) >= (1 << 607) - 1
+            assert _exact_prime(M.row_entries) >= (1 << 607) - 1
             assert determinant(M) == fraction_determinant(M)
             assert rank(M) == fraction_rank(M)
 
@@ -197,9 +197,9 @@ class TestExactPrime:
         )
 
     def test_least_prime_above_bound(self):
-        assert _exact_prime(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == PRIME
+        assert _exact_prime(IntegerMatrix.from_rows([[1, 0], [0, 1]]).row_entries) == PRIME
         # Hadamard's bound PRIME^2 needs p > 2 * PRIME
-        assert _exact_prime(IntegerMatrix.from_rows([[PRIME]])) == (1 << 89) - 1
+        assert _exact_prime(IntegerMatrix.from_rows([[PRIME]]).row_entries) == (1 << 89) - 1
 
 
 class TestRank:
@@ -244,7 +244,7 @@ class TestRank:
         # rank is recomputed modulo 2^127 - 1
         Z = biadjacency(build_region(parse_ideal("x^15, y^15, z^15, x^5y^5z^5"), 20))
         assert (Z.rows, Z.cols) == (150, 150)
-        assert _exact_prime(Z) == (1 << 127) - 1
+        assert _exact_prime(Z.row_entries) == (1 << 127) - 1
         assert rank(Z) == fraction_rank(Z) == 149
 
 

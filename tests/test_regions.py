@@ -27,9 +27,11 @@ from triregion import (
     revlex_key,
     triangle_counts,
 )
-from triregion.tilings import _adjacency
+from triregion.regions import _adjacency
 from conftest import (
+    adjacency_oracle,
     artinian_ideals,
+    hexagon,
     label_sets,
     non_floating_oracle,
     random_artinian_ideal,
@@ -389,3 +391,33 @@ class TestLabelOrder:
         region.down_sorted().reverse()
         assert_label_order(region)
         assert region_json(region)["up"] == ["x^3", "x^2*z", "x*z^2", "y*z^2"]
+
+
+#: The hexagon sides of the large-region benchmark workload.
+LARGE_HEXAGON_DEGREES = (24, 30, 36, 42, 48)
+
+
+class TestAdjacency:
+    """The cell-keyed neighbour rule gives the exponent-triple adjacency."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_sets(balanced=False))
+    def test_raw_labels(self, region):
+        assert _adjacency(region) == adjacency_oracle(region)
+
+    def test_corpus(self, corpus):
+        for ideal, d in corpus:
+            region = build_region(ideal, d)
+            assert _adjacency(region) == adjacency_oracle(region)
+
+    @pytest.mark.parametrize("d", LARGE_HEXAGON_DEGREES)
+    def test_large_hexagons(self, d):
+        region = build_region(*hexagon(d // 3, d // 3, d // 3))
+        assert _adjacency(region) == adjacency_oracle(region)
+
+    def test_few_labels_on_a_large_side(self):
+        # four labels a side at d = 500, all at the z corner
+        region = build_region(parse_ideal("x^2, y^2, z^600"), 500)
+        downs, ups, neighbors = _adjacency(region)
+        assert (len(downs), len(ups)) == (4, 4)
+        assert (downs, ups, neighbors) == adjacency_oracle(region)
