@@ -12,18 +12,18 @@ first computed modulo 2^61 - 1, which proves full rank when it finds it.
 The permanent is taken of 0/1 matrices only, the kind ``biadjacency``
 builds: it is the number of perfect matchings.  For a matrix that
 ``biadjacency`` built it is |det K|, the determinant of the Kasteleyn
-signing that `triregion.tilings` reads off the region's holes; any other
-0/1 matrix goes to the backtracking matching counter.
+signing that `triregion.regions` reads off the region's holes; any other
+0/1 matrix goes to the backtracking matching counter, which lives here
+too and also serves ``enumerate_tilings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .monomials import Monomial
-from .regions import TriangularRegion, _adjacency
-from .tilings import _count_perfect_matchings, _kasteleyn_flips
+from .regions import TriangularRegion, _adjacency, _kasteleyn_rows
 
 #: A sparse row: its nonzero ``(column, value)`` entries in ascending column order.
 _Row = tuple[tuple[int, int], ...]
@@ -219,7 +219,7 @@ def permanent(matrix: IntegerMatrix) -> int:
 
     It counts the matrix's perfect matchings.  A matrix that ``biadjacency``
     built counts its region's tilings as |det K|, for the Kasteleyn signing
-    K that `triregion.tilings` reads off the region's holes, in polynomial
+    K that `triregion.regions` reads off the region's holes, in polynomial
     time.  Any other 0/1 matrix goes to the backtracking matching counter,
     which is exponential in general.  Any other entry raises ``ValueError``.
     """
@@ -231,15 +231,110 @@ def permanent(matrix: IntegerMatrix) -> int:
     region = vars(matrix).get("_region")
     if region is None:
         return _count_perfect_matchings([tuple(j for j, _ in row) for row in rows]).count
-    flips = _kasteleyn_flips(region)
-    if flips:
-        # A down label's z-neighbour is the last entry of its row (x, y, z order).
-        signed = tuple(
-            row[:-1] + ((row[-1][0], -1),) if mu.exponents() in flips else row
-            for mu, row in zip(matrix.row_labels, rows)
-        )
-        matrix = IntegerMatrix(matrix.rows, matrix.cols, signed)
-    return abs(determinant(matrix))
+    return abs(determinant(IntegerMatrix(matrix.rows, matrix.cols, tuple(_kasteleyn_rows(region)))))
+
+
+class TilingCount(NamedTuple):
+    count: int
+    exact: bool
+
+
+def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | None = None) -> TilingCount:
+    """Number of ways to match every row i to its own column in ``candidates[i]``.
+
+    Each row lists its columns in ascending order.  The problem must be
+    square: the columns are drawn from ``range(len(candidates))``, so a
+    perfect matching covers every column too, and a column with one free
+    row left must take it just as a row with one free column must.  After
+    each placement every such forced pair is placed, so the search branches
+    only where nothing is forced: on the unmatched row with the fewest free
+    columns, trying them in ascending order (for a region the x, y, z
+    neighbour order), and it rarely meets a dead end.  Free counts are
+    undone from a trail and the branches live on an explicit stack, so
+    depth costs no recursion.  Once the count passes ``cap`` the search
+    stops with ``(cap + 1, False)``.
+    """
+    n = len(candidates)
+    # One bipartite graph on 2n vertices: row i is vertex i and column j is
+    # vertex n + j.  adj[v] lists v's neighbours in ascending order, free[v]
+    # counts those still unmatched while v is, and mate[v] is v's partner or -1.
+    adj = [[n + j for j in row] for row in candidates] + [[] for _ in range(n)]
+    for i, row in enumerate(candidates):
+        for j in row:
+            adj[n + j].append(i)
+    free = [len(near) for near in adj]
+    mate = [-1] * (2 * n)
+    # Unmatched vertices seen with at most one free neighbour, and one end
+    # of every placed pair in placement order.
+    waiting = [v for v, f in enumerate(free) if f < 2]
+    trail: list[int] = []
+
+    def place(u: int, v: int) -> None:
+        mate[u], mate[v] = v, u
+        trail.append(u)
+        for end in (u, v):
+            for w in adj[end]:
+                free[w] -= 1
+                if free[w] < 2 and mate[w] < 0:
+                    waiting.append(w)
+
+    def propagate() -> bool:
+        """Place every forced pair; False once a vertex has no free neighbour left."""
+        while waiting:
+            v = waiting.pop()
+            if mate[v] < 0:
+                for w in adj[v]:
+                    if mate[w] < 0:
+                        place(v, w)
+                        break
+                else:
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        """Take back every placement after the first ``mark``."""
+        waiting.clear()
+        while len(trail) > mark:
+            u = trail.pop()
+            v = mate[u]
+            for end in (u, v):
+                for w in adj[end]:
+                    free[w] += 1
+            mate[u] = mate[v] = -1
+
+    # One frame per branch: (row, its free columns, index of the one in
+    # use, trail length before the branch).
+    stack: list[tuple[int, tuple[int, ...], int, int]] = []
+    count = 0
+    alive = propagate()
+    while True:
+        if alive and len(trail) < n:
+            # Every unmatched row has at least two free columns now.
+            row = -1
+            for i in range(n):
+                if mate[i] < 0 and (row < 0 or free[i] < free[row]):
+                    row = i
+                    if free[i] == 2:
+                        break
+            columns = tuple(v for v in adj[row] if mate[v] < 0)
+            stack.append((row, columns, -1, len(trail)))
+        elif alive:
+            count += 1
+            if cap is not None and count > cap:
+                return TilingCount(count, False)
+        # Place the next column of the deepest branch that has one left: the
+        # first of a new branch, or after a dead end or a complete matching
+        # the next one, dropping the exhausted branches above it.
+        while stack:
+            row, columns, k, mark = stack.pop()
+            undo(mark)
+            if k + 1 < len(columns):
+                stack.append((row, columns, k + 1, mark))
+                place(row, columns[k + 1])
+                alive = propagate()
+                break
+        else:
+            return TilingCount(count, True)
 
 
 def matrix_json(matrix: IntegerMatrix) -> dict:

@@ -13,7 +13,9 @@ x^a y^b z^c divides a label iff a < h[c][b].  This suffix maximum over b,
 then over c, is the dual of ``MonomialIdeal._staircase`` and costs O(d^2).
 The lozenge adjacency is read off cells as well: one neighbour rule, on a
 table keyed by cell, serves region labels here and the rows that
-`triregion.lefschetz` reads off an ideal's staircase.
+`triregion.lefschetz` reads off an ideal's staircase.  The Kasteleyn
+signing that ``permanent`` counts tilings with is read off the same cell
+tables, its faces and holes keyed like the cells.
 """
 
 from __future__ import annotations
@@ -137,6 +139,109 @@ def _adjacency(region: TriangularRegion) -> tuple[list[Monomial], list[Monomial]
     d, downs, ups = region.d, region.down_sorted(), region.up_sorted()
     column = {m.c * d + m.b: k for k, m in enumerate(ups)}
     return downs, ups, _neighbours(column, d, [m.c * d + m.b for m in downs])
+
+
+def _root(parent: dict, v):
+    """Union-find root of ``v``, halving the path; an unseen ``v`` is its own root."""
+    parent.setdefault(v, v)
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _kasteleyn_rows(region: TriangularRegion) -> list[tuple[tuple[int, int], ...]]:
+    """The rows of a Kasteleyn signing K of the region's bi-adjacency
+    matrix: ``(column, ±1)`` entries in ``biadjacency``'s row and column
+    order, some z-lozenges negated.
+
+    The lozenge graph is planar and bipartite, so |det K| is the number of
+    tilings once every bounded face of length 2k of every component has
+    k - 1 negative edges mod 2 (Kasteleyn 1963; Kuperberg, "An exploration
+    of the permanent-determinant method", 1998).  The faces are read off
+    the lattice, whose vertex x^a y^b z^c of degree d is keyed c*d + b like
+    a cell: up cell k has the vertices k, k+1 and k+d, down cell k has k+1,
+    k+d and k+d+1, and a lozenge crosses the lattice edge its two triangles
+    share.  An interior vertex v (b, c >= 1, b + c < d) ends the edges of
+    six lozenges, as (down, up) cells (v-1, v-1), (v-1, v), (v-d, v-d),
+    (v-d, v), (v-d-1, v-d) and (v-d-1, v-1); the fourth and sixth are
+    z-lozenges.  With all six present v is a hexagonal face, right with all
+    signs +1.  A plane graph has E - V + C bounded faces, one per row entry
+    that joins two up cells already joined; when they are all hexagons, no
+    hole search is needed.  Every other bounded face is a hole: a class of
+    removed triangles, joined when they share a vertex, with no vertex on
+    the boundary (b = 0, c = 0 or b + c = d).  Its face belongs to the
+    component of the lozenge (v0-d, v0), which crosses the edge from P0 =
+    v0 to v0+1.  P0 is the hole vertex least in the order of (a, b): the
+    largest b + c, then the least b.  Components inside the hole (islands)
+    see it as their outer face.  Its length 2k counts that component's
+    lozenges once per end of their crossed edge that is a hole vertex.  A
+    face of the wrong parity is mended by negating the z-lozenges
+    (v0-d+t, v0+t), t < d - b0 - c0, across the lattice ray from P0 to the
+    boundary: of its own face the ray crosses only the first edge, it
+    crosses every hexagon twice, and it never reaches a vertex of a hole
+    with a larger P0, so holes are mended in descending order of P0.
+    """
+    d = region.d
+    column = {m.c * d + m.b: (j, 1) for j, m in enumerate(region._up_order)}
+    keys = [m.c * d + m.b for m in region._down_order]
+    rows = _neighbours(column, d, keys)
+    # Components of the lozenge graph by the up cells' columns.
+    component: dict = {}
+    faces = 0
+    for row in rows:
+        for j, _ in row[1:]:
+            first, root = _root(component, row[0][0]), _root(component, j)
+            faces += first == root
+            component[root] = first
+    downs = set(keys)
+    # Vertex k+1 of down cell k is a hexagonal face when its six triangles are present.
+    hexagons = sum(
+        1 for k in keys
+        if k >= d and k - d in downs and k - d + 1 in downs
+        and k in column and k + 1 in column and k - d + 1 in column
+    )
+    if faces == hexagons:
+        return rows
+    # Join the vertices of each removed triangle; -1 stands for the boundary.
+    removed = [(k, k + 1, k + d) for c in range(d) for k in range(c * d, c * d + d - c) if k not in column]
+    removed += [(k + 1, k + d, k + d + 1)
+                for c in range(d - 1) for k in range(c * d, c * d + d - 1 - c) if k not in downs]
+    vertex_root = {-1: -1}
+    for triangle in removed:
+        first, *rest = (_root(vertex_root, v if v > d and 0 < v % d < d - v // d else -1) for v in triangle)
+        for root in rest:
+            vertex_root[root] = first
+    outside = _root(vertex_root, -1)
+    holes: dict = {}
+    for v in list(vertex_root):
+        root = _root(vertex_root, v)
+        if root != outside:
+            holes.setdefault(root, []).append(v)
+
+    def exponents_ab(v: int) -> tuple[int, int]:
+        return d - v % d - v // d, v % d
+
+    starts = {min(hole, key=exponents_ab): hole for hole in holes.values()}
+    flips: set[int] = set()
+    for v0 in sorted(starts, key=exponents_ab, reverse=True):
+        vertices = starts[v0]
+        enclosing = _root(component, column[v0][0])
+        sides = negative = 0
+        for v in vertices:
+            for mu, nu, z in (
+                (v - 1, v - 1, False), (v - 1, v, False), (v - d, v - d, False),
+                (v - d, v, True), (v - d - 1, v - d, False), (v - d - 1, v - 1, True),
+            ):
+                if mu in downs and nu in column and _root(component, column[nu][0]) == enclosing:
+                    sides += 1
+                    negative += z and mu in flips
+        if (negative + sides // 2) % 2 == 0:
+            flips ^= {k for k in range(v0 - d, v0 - v0 % d - v0 // d) if k in downs and k + d in column}
+    for i, k in enumerate(keys):
+        if k in flips:
+            z = column[k + d]
+            rows[i] = tuple((j, -1) if (j, v) == z else (j, v) for j, v in rows[i])
+    return rows
 
 
 def triangle_counts(region: TriangularRegion) -> tuple[int, int, Balance]:

@@ -4,18 +4,19 @@ A lozenge pairs a downward triangle with an adjacent upward triangle, so a
 tiling of a region is a perfect matching between its down and up labels
 under the relation "up = variable * down".  Three independent routes decide
 tileability: greedy then augmenting-path matching, the no-heavy-subregion
-criterion, and exhaustive enumeration.  The exact count in polynomial time is
-``permanent(biadjacency(region))``: the lozenge graph is planar, and the
-signs that make its determinant count the tilings (a Kasteleyn signing)
-are read off the region's holes here, next to the adjacency they sign.
+criterion, and exhaustive enumeration.  Enumeration runs the matching
+counter of `triregion.matrices`; the exact count in polynomial time is
+``permanent(biadjacency(region))``, the determinant of the Kasteleyn
+signing that `triregion.regions` reads off the region's holes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator
 
+from .matrices import TilingCount, _count_perfect_matchings
 from .monomials import Monomial, MonomialIdeal, _texts, monomials_of_degree, revlex_key
 from .regions import (
     Balance,
@@ -70,11 +71,6 @@ class Tiling:
         return len(self.lozenges)
 
 
-class TilingCount(NamedTuple):
-    count: int
-    exact: bool
-
-
 @dataclass(frozen=True)
 class StructuralTileability:
     """Outcome of the no-heavy-subregion criterion, with a witness on failure."""
@@ -82,110 +78,6 @@ class StructuralTileability:
     tileable: bool
     unbalanced: bool
     heavy_witness: Monomial | None
-
-
-def _root(parent: dict, v):
-    """Union-find root of ``v``, halving the path; an unseen ``v`` is its own root."""
-    parent.setdefault(v, v)
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v
-
-
-def _triples(j: int):
-    """Exponent triples of degree j."""
-    return ((j - b - c, b, c) for c in range(j + 1) for b in range(j - c + 1))
-
-
-def _kasteleyn_flips(region: TriangularRegion) -> set[tuple[int, int, int]]:
-    """Down labels, as exponent triples, whose z-lozenge is negated in a
-    Kasteleyn signing K of the region's bi-adjacency matrix.
-
-    The lozenge graph is planar and bipartite, so |det K| is the number of
-    tilings once every bounded face of length 2k of every component has
-    k - 1 negative edges mod 2 (Kasteleyn 1963; Kuperberg, "An exploration
-    of the permanent-determinant method", 1998).  The faces are read off
-    the lattice, whose vertices are the degree-d triples: up label m has the
-    vertices mx, my, mz, down label mu has mu*xy, mu*xz, mu*yz, and a
-    lozenge crosses the lattice edge its two triangles share.  A vertex with
-    all six triangles present is a hexagonal face, right with all signs +1.
-    Every other bounded face is a hole: a class of removed triangles,
-    joined when they share a vertex, with no vertex on the boundary (a zero
-    exponent).  Its face belongs to the component of the lozenge that
-    crosses the edge from P0, the hole vertex least in lexicographic order
-    (so of least x-exponent), towards P0 - x + y; components inside the
-    hole (islands) see it as their outer face.  Its length 2k counts that
-    component's lozenges once per end of the crossed edge that is a hole
-    vertex.  A face of the wrong parity is mended by negating the
-    z-lozenges across the lattice ray P0 -> P0 - x + y -> ... to the
-    boundary: of its own face the ray crosses only the first edge, it
-    crosses every hexagon twice, and it never reaches a vertex of a hole
-    with a larger P0, so holes are mended in descending order of P0.
-    """
-    up = {m.exponents() for m in region.up_labels}
-    down = {m.exponents() for m in region.down_labels}
-    # Components of the lozenge graph, by their down labels; an up label
-    # with no down neighbour is a component of its own.
-    component: dict = {mu: mu for mu in down}
-    lozenges, components = 0, len(down)
-    for a, b, c in up:
-        near = [mu for mu in ((a - 1, b, c), (a, b - 1, c), (a, b, c - 1)) if mu in down]
-        lozenges += len(near)
-        components += not near
-        for mu in near[1:]:
-            first, root = _root(component, near[0]), _root(component, mu)
-            components -= first != root
-            component[root] = first
-    # A plane graph has E - V + C bounded faces.  Each is a hexagon, around
-    # the vertex mu*xy of one down label mu with all six triangles present,
-    # or a hole; most regions have none, and no hole search is needed.
-    hexagons = sum(
-        1 for a, b, c in down
-        if (a, b + 1, c - 1) in down and (a + 1, b, c - 1) in down
-        and (a, b + 1, c) in up and (a + 1, b, c) in up and (a + 1, b + 1, c - 1) in up
-    )
-    if lozenges - len(up) - len(down) + components == hexagons:
-        return set()
-    # Join the vertices of each removed triangle; () stands for the boundary.
-    d = region.d
-    removed = [((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
-               for a, b, c in _triples(d - 1) if (a, b, c) not in up]
-    removed += [((a + 1, b + 1, c), (a + 1, b, c + 1), (a, b + 1, c + 1))
-                for a, b, c in _triples(d - 2) if (a, b, c) not in down]
-    vertex_root: dict = {(): ()}
-    for triangle in removed:
-        first, *rest = (_root(vertex_root, v if all(v) else ()) for v in triangle)
-        for root in rest:
-            vertex_root[root] = first
-    outside = _root(vertex_root, ())
-    holes: dict = {}
-    for v in list(vertex_root):
-        root = _root(vertex_root, v)
-        if root != outside:
-            holes.setdefault(root, []).append(v)
-    flips: set[tuple[int, int, int]] = set()
-    for vertices in sorted(holes.values(), key=min, reverse=True):
-        a0, b0, c0 = min(vertices)
-        enclosing = _root(component, (a0 - 1, b0, c0 - 1))
-        sides = negative = 0
-        for a, b, c in vertices:
-            # The six lozenges whose crossed edge ends at (a, b, c), as
-            # (down, up, is a z-lozenge); (a, b, c) is down * xy, xz or yz.
-            xy, xz, yz = (a - 1, b - 1, c), (a - 1, b, c - 1), (a, b - 1, c - 1)
-            for mu, nu, z in (
-                (xy, (a, b - 1, c), False), (xy, (a - 1, b, c), False),
-                (xz, (a, b, c - 1), False), (xz, (a - 1, b, c), True),
-                (yz, (a, b, c - 1), False), (yz, (a, b - 1, c), True),
-            ):
-                if mu in down and nu in up and _root(component, mu) == enclosing:
-                    sides += 1
-                    negative += z and mu in flips
-        if (negative + sides // 2) % 2 == 0:
-            for t in range(a0):
-                mu = (a0 - 1 - t, b0 + t, c0 - 1)
-                if mu in down and (a0 - 1 - t, b0 + t, c0) in up:
-                    flips ^= {mu}
-    return flips
 
 
 def find_tiling(region: TriangularRegion) -> Tiling | None:
@@ -253,104 +145,6 @@ def validate_tiling(region: TriangularRegion, tiling: Tiling) -> None:
         raise ValueError("tiling reuses a triangle")
     if set(downs) != region.down_labels or set(ups) != region.up_labels:
         raise ValueError("tiling does not cover the region exactly")
-
-
-def _count_perfect_matchings(candidates: Sequence[Sequence[int]], cap: int | None = None) -> TilingCount:
-    """Number of ways to match every row i to its own column in ``candidates[i]``.
-
-    Each row lists its columns in ascending order.  The problem must be
-    square: the columns are drawn from ``range(len(candidates))``, so a
-    perfect matching covers every column too, and a column with one free
-    row left must take it just as a row with one free column must.  After
-    each placement every such forced pair is placed, so the search branches
-    only where nothing is forced: on the unmatched row with the fewest free
-    columns, trying them in ascending order (for a region the x, y, z
-    neighbour order), and it rarely meets a dead end.  Free counts are
-    undone from a trail and the branches live on an explicit stack, so
-    depth costs no recursion.  Once the count passes ``cap`` the search
-    stops with ``(cap + 1, False)``.
-    """
-    n = len(candidates)
-    # One bipartite graph on 2n vertices: row i is vertex i and column j is
-    # vertex n + j.  adj[v] lists v's neighbours in ascending order, free[v]
-    # counts those still unmatched while v is, and mate[v] is v's partner or -1.
-    adj = [[n + j for j in row] for row in candidates] + [[] for _ in range(n)]
-    for i, row in enumerate(candidates):
-        for j in row:
-            adj[n + j].append(i)
-    free = [len(near) for near in adj]
-    mate = [-1] * (2 * n)
-    # Unmatched vertices seen with at most one free neighbour, and one end
-    # of every placed pair in placement order.
-    waiting = [v for v, f in enumerate(free) if f < 2]
-    trail: list[int] = []
-
-    def place(u: int, v: int) -> None:
-        mate[u], mate[v] = v, u
-        trail.append(u)
-        for end in (u, v):
-            for w in adj[end]:
-                free[w] -= 1
-                if free[w] < 2 and mate[w] < 0:
-                    waiting.append(w)
-
-    def propagate() -> bool:
-        """Place every forced pair; False once a vertex has no free neighbour left."""
-        while waiting:
-            v = waiting.pop()
-            if mate[v] < 0:
-                for w in adj[v]:
-                    if mate[w] < 0:
-                        place(v, w)
-                        break
-                else:
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        """Take back every placement after the first ``mark``."""
-        waiting.clear()
-        while len(trail) > mark:
-            u = trail.pop()
-            v = mate[u]
-            for end in (u, v):
-                for w in adj[end]:
-                    free[w] += 1
-            mate[u] = mate[v] = -1
-
-    # One frame per branch: (row, its free columns, index of the one in
-    # use, trail length before the branch).
-    stack: list[tuple[int, tuple[int, ...], int, int]] = []
-    count = 0
-    alive = propagate()
-    while True:
-        if alive and len(trail) < n:
-            # Every unmatched row has at least two free columns now.
-            row = -1
-            for i in range(n):
-                if mate[i] < 0 and (row < 0 or free[i] < free[row]):
-                    row = i
-                    if free[i] == 2:
-                        break
-            columns = tuple(v for v in adj[row] if mate[v] < 0)
-            stack.append((row, columns, -1, len(trail)))
-        elif alive:
-            count += 1
-            if cap is not None and count > cap:
-                return TilingCount(count, False)
-        # Place the next column of the deepest branch that has one left: the
-        # first of a new branch, or after a dead end or a complete matching
-        # the next one, dropping the exhausted branches above it.
-        while stack:
-            row, columns, k, mark = stack.pop()
-            undo(mark)
-            if k + 1 < len(columns):
-                stack.append((row, columns, k + 1, mark))
-                place(row, columns[k + 1])
-                alive = propagate()
-                break
-        else:
-            return TilingCount(count, True)
 
 
 def enumerate_tilings(region: TriangularRegion, cap: int = ENUMERATION_CAP) -> TilingCount:

@@ -30,7 +30,7 @@ from triregion import (
     rank,
 )
 from triregion import matrices
-from triregion.tilings import _kasteleyn_flips
+from triregion.regions import _kasteleyn_rows
 from conftest import (
     fraction_determinant,
     fraction_rank,
@@ -108,15 +108,10 @@ def label_regions(draw):
 
 
 def kasteleyn_matrix(region: TriangularRegion) -> IntegerMatrix:
-    """The region's bi-adjacency matrix, unlabelled, with the z-lozenges of
-    ``_kasteleyn_flips`` negated as ``permanent`` negates them."""
+    """The unlabelled Kasteleyn signing K whose determinant ``permanent``
+    takes, in the shape of the region's bi-adjacency matrix."""
     Z = biadjacency(region)
-    flips = _kasteleyn_flips(region)
-    rows = tuple(
-        row[:-1] + ((row[-1][0], -1),) if mu.exponents() in flips else row
-        for mu, row in zip(Z.row_labels, Z.row_entries)
-    )
-    return IntegerMatrix(Z.rows, Z.cols, rows)
+    return IntegerMatrix(Z.rows, Z.cols, tuple(_kasteleyn_rows(region)))
 
 
 #: The d = 6 triangle less six up triangles.  The down triangle y^3 z has
@@ -158,14 +153,25 @@ class TestKasteleynCount:
             ("x^9, y^9, x^4yz, xy^4z^2, z^9", 10, 2, 0),
             # a ray passes a down triangle whose z-neighbour is removed
             ("x^8, y^7, x^4yz, xy^3z^4, z^7", 9, 108, 56),
+            # a centred core of odd side 3
+            ("x^9, y^9, z^9, x^3y^3z^3", 12, 35000, 0),
         ],
     )
     def test_pinned_regions(self, text, d, count, det):
         region = build_region(parse_ideal(text), d)
         Z = biadjacency(region)
-        assert _kasteleyn_flips(region)
+        assert any(v < 0 for row in kasteleyn_matrix(region).row_entries for _, v in row)
         assert permanent(Z) == enumerate_tilings(region).count == count
         assert determinant(Z) == det
+
+    def test_cored_hexagon_at_degree_60(self):
+        # a centred core of odd side 15; the count CI pins for the installed command
+        Z = biadjacency(build_region(parse_ideal("x^45, y^45, z^45, x^15y^15z^15"), 60))
+        assert determinant(Z) == 0
+        assert permanent(Z) == int(
+            "1948660229686002175733178877015958609060730365258741376637783387885552044138054498"
+            "14310115374759752176057031250000000000000"
+        )
 
     @pytest.mark.parametrize(
         "region, count, det",
@@ -186,6 +192,21 @@ class TestKasteleynCount:
         Z = biadjacency(region)
         assert permanent(Z) == enumerate_tilings(region).count == count
         assert determinant(Z) == det
+
+    def test_vertex_with_five_triangles_is_no_hexagon(self):
+        # the (1, 2, 2) hexagon less the down triangle xyz and the up
+        # triangle x^3y: the vertex xy^2z^2 keeps five of its six triangles,
+        # so it lies on the hole's face, which needs a sign flip
+        hexagon_region = build_region(parse_ideal("x^4, y^3, z^3"), 5)
+        region = replace(
+            hexagon_region,
+            up_labels=hexagon_region.up_labels - {Monomial(3, 1, 0)},
+            down_labels=hexagon_region.down_labels - {Monomial(1, 1, 1)},
+        )
+        Z = biadjacency(region)
+        assert any(v < 0 for row in kasteleyn_matrix(region).row_entries for _, v in row)
+        assert permanent(Z) == enumerate_tilings(region).count == 2
+        assert determinant(Z) == 0
 
     def test_macmahon_hexagons_to_degree_60(self):
         boxes = [(a, b, c) for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]

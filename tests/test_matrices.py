@@ -22,8 +22,7 @@ from triregion import (
     permanent,
     rank,
 )
-from triregion.matrices import _MERSENNE_EXPONENTS, _exact_prime
-from triregion.tilings import _count_perfect_matchings
+from triregion.matrices import _MERSENNE_EXPONENTS, _count_perfect_matchings, _exact_prime
 from conftest import (
     fraction_determinant,
     fraction_rank,

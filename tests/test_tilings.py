@@ -28,7 +28,7 @@ from triregion import (
     two_of_three,
     validate_tiling,
 )
-from triregion.tilings import _count_perfect_matchings
+from triregion.matrices import _count_perfect_matchings
 from conftest import artinian_regions, hexagon, macmahon, random_artinian_ideal
 
 
