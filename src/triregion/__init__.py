@@ -8,36 +8,25 @@ bi-adjacency matrices, family constructors, and SVG rendering.
 """
 
 from .monomials import (
-    DEGREE_CAP,
     IdealSyntaxError,
     Monomial,
     MonomialIdeal,
     NotArtinianError,
-    ONE,
-    X,
-    Y,
-    Z,
-    monomials_of_degree,
     parse_ideal,
-    revlex_key,
 )
 from .regions import (
     Balance,
     Puncture,
-    PunctureRelation,
     TriangularRegion,
     build_region,
     monomial_ideal_of_region,
-    monomial_subregion,
     overpuncturing,
     overpuncturing_ideal,
     puncture_list,
     region_json,
-    relate_punctures,
     triangle_counts,
 )
 from .tilings import (
-    ENUMERATION_CAP,
     Lozenge,
     StructuralTileability,
     Tiling,
@@ -54,7 +43,6 @@ from .matrices import (
     IntegerMatrix,
     biadjacency,
     determinant,
-    matrix_json,
     permanent,
     rank,
 )
@@ -66,10 +54,8 @@ from .stability import (
     decide_semistability,
 )
 from .families import (
-    FIFTH_GENERATOR_NOTE,
     FamilyConstructionError,
     FamilySpec,
-    convenient_degrees,
     convenient_family,
     example_family,
 )
@@ -80,10 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Balance",
     "CriterionReport",
-    "DEGREE_CAP",
     "DegreeRecord",
-    "ENUMERATION_CAP",
-    "FIFTH_GENERATOR_NOTE",
     "FamilyConstructionError",
     "FamilySpec",
     "IdealSyntaxError",
@@ -92,9 +75,7 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "NotArtinianError",
-    "ONE",
     "Puncture",
-    "PunctureRelation",
     "RenderOptions",
     "Semistability",
     "StructuralTileability",
@@ -103,12 +84,8 @@ __all__ = [
     "TriangularRegion",
     "TwoOfThreeReport",
     "WlpReport",
-    "X",
-    "Y",
-    "Z",
     "biadjacency",
     "build_region",
-    "convenient_degrees",
     "convenient_family",
     "criterion_check",
     "decide_semistability",
@@ -118,10 +95,7 @@ __all__ = [
     "find_tiling",
     "has_wlp",
     "is_tileable_structural",
-    "matrix_json",
     "monomial_ideal_of_region",
-    "monomial_subregion",
-    "monomials_of_degree",
     "overpuncturing",
     "overpuncturing_ideal",
     "parse_ideal",
@@ -130,8 +104,6 @@ __all__ = [
     "rank",
     "region_json",
     "region_svg",
-    "relate_punctures",
-    "revlex_key",
     "tiling_json",
     "tiling_svg",
     "triangle_counts",

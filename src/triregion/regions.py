@@ -2,9 +2,9 @@
 
 A region of side d holds the degree d-1 (upward triangle) and degree d-2
 (downward triangle) monomials surviving outside an ideal.  Punctures,
-balance, monomial subregions and the over-puncturing coefficient are all
-derived from those label sets by divisibility arithmetic; geometry enters
-only in the SVG renderer.
+balance and the over-puncturing coefficient are all derived from those
+label sets by divisibility arithmetic; geometry enters only in the SVG
+renderer.
 
 Labels are never compared pair by pair.  The region's ideal, and with it
 the punctures, is read off one label staircase: h[c][b] is 1 + the largest
@@ -33,12 +33,6 @@ class Balance(Enum):
     DOWN_HEAVY = "down-heavy"
     UP_HEAVY = "up-heavy"
     BALANCED = "balanced"
-
-
-class PunctureRelation(Enum):
-    OVERLAPPING = "Overlapping"
-    TOUCHING = "Touching"
-    DISJOINT = "Disjoint"
 
 
 @dataclass(frozen=True)
@@ -280,20 +274,6 @@ def monomial_ideal_of_region(region: TriangularRegion) -> MonomialIdeal:
     ))
 
 
-def relate_punctures(m1: Monomial, m2: Monomial, d: int) -> PunctureRelation:
-    """How the side-(d - deg) punctures of two distinct generators interact."""
-    if m1 == m2:
-        raise ValueError("puncture relation requires distinct monomials")
-    if m1.degree() >= d or m2.degree() >= d:
-        raise ValueError("both monomials must have degree below the region side")
-    lcm_degree = m1.lcm(m2).degree()
-    if lcm_degree <= d - 1:
-        return PunctureRelation.OVERLAPPING
-    if lcm_degree == d:
-        return PunctureRelation.TOUCHING
-    return PunctureRelation.DISJOINT
-
-
 def puncture_list(region: TriangularRegion) -> list[Puncture]:
     """One puncture per minimal generator of the region's ideal, flags included.
 
@@ -309,7 +289,7 @@ def puncture_list(region: TriangularRegion) -> list[Puncture]:
     for g in queue:  # the loop also visits what it appends
         left = []
         for h in unreached:
-            # lcm degree <= d: the punctures overlap or touch (relate_punctures)
+            # lcm degree <= d: the punctures overlap or touch
             (queue if g.lcm(h).degree() <= region.d else left).append(h)
         unreached = left
     non_floating = set(queue)
@@ -322,22 +302,6 @@ def puncture_list(region: TriangularRegion) -> list[Puncture]:
         )
         for g in gens
     ]
-
-
-def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegion:
-    """The part of the region lying inside the puncture position of m.
-
-    Labels divisible by m survive, re-expressed after dividing m out; the
-    result is a side-(d - deg m) region, the one the colon ideal (I : m)
-    cuts out when I cuts out this region.
-    """
-    if m.degree() >= region.d:
-        raise ValueError(
-            f"subregion monomial must have degree below {region.d}, got {m} of degree {m.degree()}"
-        )
-    up = frozenset(l.divide_by(m) for l in region.up_labels if m.divides(l))
-    down = frozenset(l.divide_by(m) for l in region.down_labels if m.divides(l))
-    return TriangularRegion(region.d - m.degree(), up, down)
 
 
 def overpuncturing(region: TriangularRegion) -> int:

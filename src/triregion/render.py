@@ -33,7 +33,6 @@ LOZENGE_FILLS = {"x": "#4e79a7", "y": "#f28e2b", "z": "#76b7b2"}
 class RenderOptions:
     unit: float = 40.0
     show_labels: bool = False
-    shade_punctures: bool = True
     mark_floating: bool = False
 
     def __post_init__(self):
@@ -68,6 +67,8 @@ def _document(d: int, u: float, h: float, body: list[str]) -> str:
     margin = u / 2
     width = d * u + 2 * margin
     height = d * h + 2 * margin
+    if not math.isfinite(width):  # every vertex coordinate, height included, is below width
+        raise ValueError(f"a side-{d} canvas at unit {u} overflows")
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -79,6 +80,10 @@ def _document(d: int, u: float, h: float, body: list[str]) -> str:
 
 
 def _label_text(m: Monomial, cx: float, cy: float, u: float) -> str:
+    # a centre sums three or four vertex coordinates before dividing, so it
+    # can overflow on a canvas whose width is still finite
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"a label centre at unit {u} overflows")
     return (
         f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="{_fmt(u / 5)}" '
         f'text-anchor="middle" fill="{STROKE}">{m}</text>'
@@ -86,7 +91,7 @@ def _label_text(m: Monomial, cx: float, cy: float, u: float) -> str:
 
 
 def region_svg(region: TriangularRegion, options: RenderOptions = RenderOptions()) -> str:
-    """SVG of the surviving triangles, with punctures shaded on request."""
+    """SVG of the surviving triangles, with the punctures shaded."""
     u = options.unit
     h = math.sqrt(3) / 2 * u
     d = region.d
@@ -109,22 +114,21 @@ def region_svg(region: TriangularRegion, options: RenderOptions = RenderOptions(
             if options.show_labels:
                 (x0, x1, xm), y, ya = xs[k], ys[r], ys[apex]
                 body.append(_label_text(m, (x0 + x1 + xm) / 3, (y + y + ya) / 3 + u / 10, u))
-    if options.shade_punctures:
-        for p in puncture_list(region):  # in generator order, descending revlex
-            g, s = p.generator, p.side_length
-            x0 = (g.a / 2 + g.c) * u
-            pts = [
-                (x0, (d - g.a) * h),
-                (x0 + s * u, (d - g.a) * h),
-                (x0 + s * u / 2, (d - g.a - s) * h),
-            ]
-            extra = ""
-            if options.mark_floating and p.floating:
-                extra = f' stroke="{FLOATING_STROKE}" stroke-width="2" stroke-dasharray="4 2"'
-            body.append(
-                f'<polygon class="puncture" points="{_points(pts)}" '
-                f'fill="{PUNCTURE_FILL}" fill-opacity="0.6"{extra}/>'
-            )
+    for p in puncture_list(region):  # in generator order, descending revlex
+        g, s = p.generator, p.side_length
+        x0 = (g.a / 2 + g.c) * u
+        pts = [
+            (x0, (d - g.a) * h),
+            (x0 + s * u, (d - g.a) * h),
+            (x0 + s * u / 2, (d - g.a - s) * h),
+        ]
+        extra = ""
+        if options.mark_floating and p.floating:
+            extra = f' stroke="{FLOATING_STROKE}" stroke-width="2" stroke-dasharray="4 2"'
+        body.append(
+            f'<polygon class="puncture" points="{_points(pts)}" '
+            f'fill="{PUNCTURE_FILL}" fill-opacity="0.6"{extra}/>'
+        )
     return _document(d, u, h, body)
 
 

@@ -7,8 +7,9 @@ permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
 degrees from membership tests degree by degree, region ideals, structural
 scans and over-punctured subregions from testing every monomial against
-every label, floating punctures from a fixed point over all pairs, and SVG
-documents from each triangle's vertices, computed and formatted one by one.
+every label, floating punctures from a fixed point over the lattice
+vertices of all pairs, and SVG documents from each triangle's vertices,
+computed and formatted one by one.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ from triregion import (
     IntegerMatrix,
     Monomial,
     MonomialIdeal,
-    PunctureRelation,
     RenderOptions,
     StructuralTileability,
     Tiling,
     TriangularRegion,
-    X,
-    Y,
-    Z,
     build_region,
-    monomial_subregion,
-    monomials_of_degree,
     puncture_list,
-    relate_punctures,
-    revlex_key,
     triangle_counts,
 )
+from triregion.monomials import X, Y, Z, monomials_of_degree, revlex_key
 from triregion.render import (
     DOWN_FILL,
     FLOATING_STROKE,
@@ -109,6 +103,25 @@ def random_artinian_ideal(rng: random.Random) -> tuple[MonomialIdeal, int]:
         degree = rng.randint(2, max(2, d - 1))
         a = rng.randint(0, degree)
         b = rng.randint(0, degree - a)
+        gens.append(Monomial(a, b, degree - a - b))
+    return MonomialIdeal.from_generators(gens), d
+
+
+def interior_ideal(rng: random.Random) -> tuple[MonomialIdeal, int]:
+    """A side 6 <= d <= 20 and an ideal of three pure powers of degree at
+    least d/2 and one to four interior generators (every exponent
+    positive) of degree below d: unlike the corpus, these often float a
+    puncture."""
+    d = rng.randint(6, 20)
+    gens = [
+        Monomial(rng.randint(d // 2, d), 0, 0),
+        Monomial(0, rng.randint(d // 2, d), 0),
+        Monomial(0, 0, rng.randint(d // 2, d)),
+    ]
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(3, d - 1)
+        a = rng.randint(1, degree - 2)
+        b = rng.randint(1, degree - a - 1)
         gens.append(Monomial(a, b, degree - a - b))
     return MonomialIdeal.from_generators(gens), d
 
@@ -315,6 +328,22 @@ def structural_oracle(region: TriangularRegion) -> StructuralTileability:
     return StructuralTileability(True, False, None)
 
 
+def monomial_subregion(region: TriangularRegion, m: Monomial) -> TriangularRegion:
+    """The part of the region lying inside the puncture position of m.
+
+    Labels divisible by m survive, re-expressed after dividing m out; the
+    result is a side-(d - deg m) region, the one the colon ideal (I : m)
+    cuts out when I cuts out this region.
+    """
+    if m.degree() >= region.d:
+        raise ValueError(
+            f"subregion monomial must have degree below {region.d}, got {m} of degree {m.degree()}"
+        )
+    up = frozenset(l.divide_by(m) for l in region.up_labels if m.divides(l))
+    down = frozenset(l.divide_by(m) for l in region.down_labels if m.divides(l))
+    return TriangularRegion(region.d - m.degree(), up, down)
+
+
 def overpunctured_witness_oracle(region: TriangularRegion) -> Monomial | None:
     """The first monomial whose subregion, built label by label, is
     over-punctured by its own oracle ideal."""
@@ -328,17 +357,21 @@ def overpunctured_witness_oracle(region: TriangularRegion) -> Monomial | None:
 
 
 def non_floating_oracle(gens, d: int) -> set[Monomial]:
-    """The non-floating generators by a fixed point: add every generator
-    whose puncture overlaps or touches one already in the set, rescanning
+    """The non-floating generators by a fixed point over lattice vertices.
+
+    A puncture's vertices are the degree-d monomials its generator divides;
+    two punctures overlap or touch when their vertex sets meet, and a
+    puncture has boundary contact when one of its vertices has a zero
+    exponent.  Starting from the boundary punctures, add every generator
+    whose vertices meet those of one already in the set, rescanning
     ``gens`` in the order given until nothing changes."""
-    non_floating = {g for g in gens if 0 in g.exponents()}
+    vertices = {g: {g * q for q in monomials_of_degree(d - g.degree())} for g in gens}
+    non_floating = {g for g in gens if any(0 in v.exponents() for v in vertices[g])}
     changed = True
     while changed:
         changed = False
         for g in gens:
-            if g in non_floating:
-                continue
-            if any(relate_punctures(g, h, d) != PunctureRelation.DISJOINT for h in list(non_floating)):
+            if g not in non_floating and any(vertices[g] & vertices[h] for h in list(non_floating)):
                 non_floating.add(g)
                 changed = True
     return non_floating
@@ -387,22 +420,21 @@ def region_svg_oracle(region: TriangularRegion, options: RenderOptions = RenderO
                 cx = sum(p[0] for p in pts) / 3
                 cy = sum(p[1] for p in pts) / 3 + u / 10
                 body.append(_label_text(m, cx, cy, u))
-    if options.shade_punctures:
-        for p in sorted(puncture_list(region), key=lambda p: revlex_key(p.generator)):
-            g, s = p.generator, p.side_length
-            x0 = (g.a / 2 + g.c) * u
-            pts = [
-                (x0, (d - g.a) * h),
-                (x0 + s * u, (d - g.a) * h),
-                (x0 + s * u / 2, (d - g.a - s) * h),
-            ]
-            extra = ""
-            if options.mark_floating and p.floating:
-                extra = f' stroke="{FLOATING_STROKE}" stroke-width="2" stroke-dasharray="4 2"'
-            body.append(
-                f'<polygon class="puncture" points="{_points(pts)}" '
-                f'fill="{PUNCTURE_FILL}" fill-opacity="0.6"{extra}/>'
-            )
+    for p in sorted(puncture_list(region), key=lambda p: revlex_key(p.generator)):
+        g, s = p.generator, p.side_length
+        x0 = (g.a / 2 + g.c) * u
+        pts = [
+            (x0, (d - g.a) * h),
+            (x0 + s * u, (d - g.a) * h),
+            (x0 + s * u / 2, (d - g.a - s) * h),
+        ]
+        extra = ""
+        if options.mark_floating and p.floating:
+            extra = f' stroke="{FLOATING_STROKE}" stroke-width="2" stroke-dasharray="4 2"'
+        body.append(
+            f'<polygon class="puncture" points="{_points(pts)}" '
+            f'fill="{PUNCTURE_FILL}" fill-opacity="0.6"{extra}/>'
+        )
     return _document(d, u, h, body)
 
 

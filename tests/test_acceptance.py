@@ -24,7 +24,6 @@ from triregion import (
     biadjacency,
     build_region,
     criterion_check,
-    convenient_degrees,
     convenient_family,
     decide_semistability,
     determinant,
@@ -34,7 +33,6 @@ from triregion import (
     has_wlp,
     is_tileable_structural,
     monomial_ideal_of_region,
-    monomial_subregion,
     overpuncturing,
     parse_ideal,
     permanent,
@@ -43,7 +41,8 @@ from triregion import (
     triangle_counts,
     two_of_three,
 )
-from conftest import modular_rank, multiplication_matrix
+from triregion.families import convenient_degrees
+from conftest import modular_rank, monomial_subregion, multiplication_matrix
 
 TOUCHING_PAIR = "x^7, x^5yz, xy^3z^3, y^7, z^8"
 DISJOINT_SQUARE = "x^7, x^4y^2z^2, xy^3z^3, y^7, z^7"

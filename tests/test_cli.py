@@ -200,6 +200,47 @@ class TestErrors:
         assert "unit" in json.loads(err)["error"]["message"]
         assert not target.exists()
 
+    @pytest.mark.parametrize("tiling", [[], ["--tiling"]])
+    def test_render_canvas_must_be_finite(self, capsys, tmp_path, tiling):
+        target = tmp_path / "never.svg"
+        code, out, err = run(
+            capsys,
+            "render",
+            "--ideal", "x^2, y^2, z^2",
+            "--degree", "3",
+            "--out", str(target),
+            "--unit", "1e308",
+            *tiling,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "a side-3 canvas at unit 1e+308 overflows",
+        }
+        assert not target.exists()
+
+    @pytest.mark.parametrize("tiling", [[], ["--tiling"]])
+    def test_render_label_centres_must_be_finite(self, capsys, tmp_path, tiling):
+        target = tmp_path / "never.svg"
+        code, out, err = run(
+            capsys,
+            "render",
+            "--ideal", "x^2, y^2, z^2",
+            "--degree", "3",
+            "--out", str(target),
+            "--unit", "4e307",
+            "--labels",
+            *tiling,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "a label centre at unit 4e+307 overflows",
+        }
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

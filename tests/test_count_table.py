@@ -17,17 +17,17 @@ from triregion import (
     convenient_family,
     is_tileable_structural,
     monomial_ideal_of_region,
-    monomial_subregion,
-    monomials_of_degree,
     overpuncturing,
     puncture_list,
     two_of_three,
 )
+from triregion.monomials import monomials_of_degree
 from triregion.tilings import _divisor_counts
 from conftest import (
     artinian_regions,
     hexagon,
     label_sets,
+    monomial_subregion,
     overpunctured_witness_oracle,
     region_ideal_oracle,
     structural_oracle,

@@ -9,7 +9,6 @@ from triregion import (
     FamilySpec,
     Monomial,
     Semistability,
-    convenient_degrees,
     convenient_family,
     criterion_check,
     decide_semistability,
@@ -17,6 +16,7 @@ from triregion import (
     has_wlp,
     parse_ideal,
 )
+from triregion.families import convenient_degrees
 
 
 EIGHT_GENERATOR_IDEAL = parse_ideal(

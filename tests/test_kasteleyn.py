@@ -18,25 +18,26 @@ from triregion import (
     Monomial,
     MonomialIdeal,
     TriangularRegion,
-    X,
     biadjacency,
     build_region,
     determinant,
     enumerate_tilings,
     find_tiling,
-    monomials_of_degree,
     parse_ideal,
     permanent,
     rank,
 )
-from triregion import matrices
+from triregion.monomials import X, monomials_of_degree
+from triregion import matrices, regions
 from triregion.regions import _kasteleyn_rows
 from conftest import (
     fraction_determinant,
     fraction_rank,
     hexagon,
     macmahon,
+    non_floating_oracle,
     permutation_permanent,
+    region_ideal_oracle,
     reversed_rows,
     swapped_rows,
 )
@@ -223,6 +224,38 @@ class TestKasteleynCount:
     @given(label_regions())
     def test_arbitrary_label_sets(self, region):
         assert_counted(region)
+
+
+class TestHoleFreeFastPath:
+    """A region without holes is signed without the hole search: its
+    bounded faces are all hexagons, so ``_kasteleyn_rows`` returns before
+    it builds the vertex table, whose key -1 stands for the boundary."""
+
+    @pytest.fixture
+    def no_hole_search(self, monkeypatch):
+        root = regions._root
+
+        def spied(parent, v):
+            assert -1 not in parent, "the hole search ran"
+            return root(parent, v)
+
+        monkeypatch.setattr(regions, "_root", spied)
+
+    def test_square_corpus_regions(self, corpus, no_hole_search):
+        for ideal, d in corpus:
+            region = build_region(ideal, d)
+            gens = region_ideal_oracle(region).generators
+            # a region cut out by an ideal has a hole iff one of its punctures floats
+            if len(region.up_labels) == len(region.down_labels) and non_floating_oracle(gens, d) == set(gens):
+                _kasteleyn_rows(region)
+
+    def test_hexagons(self, no_hole_search):
+        for k in range(2, 41, 2):
+            _kasteleyn_rows(build_region(parse_ideal(f"x^{k}, y^{k}, z^{k}"), 3 * k // 2))
+
+    def test_cored_hexagon_reaches_the_hole_search(self, no_hole_search):
+        with pytest.raises(AssertionError, match="the hole search ran"):
+            _kasteleyn_rows(build_region(parse_ideal("x^9, y^9, z^9, x^3y^3z^3"), 12))
 
 
 class TestSignedRowOrder:

@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 
 from triregion import (
     IntegerMatrix,
-    X,
     biadjacency,
     build_region,
     convenient_family,
     determinant,
     enumerate_tilings,
-    matrix_json,
     parse_ideal,
     permanent,
     rank,
 )
-from triregion.matrices import _MERSENNE_EXPONENTS, _count_perfect_matchings, _exact_prime
+from triregion.matrices import _MERSENNE_EXPONENTS, _count_perfect_matchings, _exact_prime, matrix_json
+from triregion.monomials import X
 from conftest import (
     fraction_determinant,
     fraction_rank,

@@ -15,11 +15,9 @@ from triregion import (
     Monomial,
     MonomialIdeal,
     NotArtinianError,
-    ONE,
-    monomials_of_degree,
     parse_ideal,
-    revlex_key,
 )
+from triregion.monomials import ONE, monomials_of_degree, revlex_key
 from conftest import artinian_ideals, socle_by_scan, standard_by_scan
 
 

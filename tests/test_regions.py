@@ -12,27 +12,25 @@ from triregion import (
     Balance,
     Monomial,
     MonomialIdeal,
-    PunctureRelation,
     TriangularRegion,
     build_region,
     monomial_ideal_of_region,
-    monomial_subregion,
-    monomials_of_degree,
     overpuncturing,
     overpuncturing_ideal,
     parse_ideal,
     puncture_list,
     region_json,
-    relate_punctures,
-    revlex_key,
     triangle_counts,
 )
+from triregion.monomials import monomials_of_degree, revlex_key
 from triregion.regions import _adjacency
 from conftest import (
     adjacency_oracle,
     artinian_ideals,
     hexagon,
+    interior_ideal,
     label_sets,
+    monomial_subregion,
     non_floating_oracle,
     random_artinian_ideal,
     standard_by_scan,
@@ -207,55 +205,14 @@ class TestPunctures:
     def test_breadth_first_matches_fixed_point_label_sets(self, region):
         self.assert_matches_fixed_point(region)
 
-
-class TestRelatePunctures:
-    def test_touching_pair(self):
-        assert relate_punctures(m(7, 0, 0), m(5, 1, 1), 9) is PunctureRelation.TOUCHING
-
-    def test_disjoint_pair(self):
-        assert relate_punctures(m(4, 2, 2), m(1, 3, 3), 9) is PunctureRelation.DISJOINT
-
-    def test_overlapping_pair(self):
-        assert relate_punctures(m(1, 1, 0), m(0, 1, 1), 6) is PunctureRelation.OVERLAPPING
-
-    def test_equal_rejected(self):
-        with pytest.raises(ValueError):
-            relate_punctures(m(1, 1, 0), m(1, 1, 0), 6)
-
-    def test_symmetric(self):
-        rng = random.Random(37)
-        for _ in range(100):
-            d = rng.randint(3, 9)
-            p = m(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-            q = m(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-            if p == q or p.degree() >= d or q.degree() >= d:
-                continue
-            assert relate_punctures(p, q, d) == relate_punctures(q, p, d)
-
-    def test_geometric_oracle(self):
-        # overlap <=> the punctures share a label inside the full triangle;
-        # touch <=> disjoint labels but a common multiple in degree d
-        rng = random.Random(41)
-        for _ in range(100):
-            d = rng.randint(3, 8)
-            p = m(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            q = m(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            if p == q or p.degree() >= d or q.degree() >= d:
-                continue
-            shared = False
-            for j in (d - 2, d - 1):
-                from triregion import monomials_of_degree
-
-                for label in monomials_of_degree(j):
-                    if p.divides(label) and q.divides(label):
-                        shared = True
-            relation = relate_punctures(p, q, d)
-            if shared:
-                assert relation is PunctureRelation.OVERLAPPING
-            elif p.lcm(q).degree() == d:
-                assert relation is PunctureRelation.TOUCHING
-            else:
-                assert relation is PunctureRelation.DISJOINT
+    def test_breadth_first_matches_fixed_point_interior_generators(self):
+        rng = random.Random(20261020)
+        floating = 0
+        for _ in range(1500):
+            region = build_region(*interior_ideal(rng))
+            self.assert_matches_fixed_point(region)
+            floating += sum(p.floating for p in puncture_list(region))
+        assert floating == 310  # the input exercises floating punctures
 
 
 class TestSubregions:

@@ -38,7 +38,7 @@ UNITS = (40.0, 17.3, 0.7, 1 / 3, 2.345, 0.003)
 FLAGS = (
     {},
     {"show_labels": True, "mark_floating": True},
-    {"shade_punctures": False, "show_labels": True},
+    {"show_labels": True},
 )
 
 
@@ -69,8 +69,9 @@ class TestRegionSvg:
         assert polygon_count(svg, "puncture") == 3
 
     def test_empty_region_valid(self):
-        svg = region_svg(build_region(parse_ideal("1"), 3), RenderOptions(shade_punctures=False))
-        assert "<polygon" not in svg
+        svg = region_svg(build_region(parse_ideal("1"), 3))
+        assert polygon_count(svg, "up") == polygon_count(svg, "down") == 0
+        assert polygon_count(svg, "puncture") == svg.count("<polygon") == 1
         ET.fromstring(svg)
 
     def test_byte_deterministic(self):
@@ -94,12 +95,26 @@ class TestRegionSvg:
             with pytest.raises(ValueError):
                 RenderOptions(unit=unit)
 
+    @pytest.mark.parametrize("d, unit", [(3, 1e308), (400, 1e306)])
+    def test_overflowing_canvas_rejected(self, d, unit):
+        region = build_region(parse_ideal("x^2, y^2, z^2"), d)
+        with pytest.raises(ValueError, match="canvas"):
+            region_svg(region, RenderOptions(unit=unit))
+
+    def test_overflowing_label_centre_rejected(self):
+        # at d = 3 the width 4u is finite below u ~ 4.49e307, but a label
+        # centre sums three x values first
+        region = build_region(parse_ideal("x^2, y^2, z^2"), 3)
+        assert "inf" not in region_svg(region, RenderOptions(unit=4e307))
+        with pytest.raises(ValueError, match="label centre"):
+            region_svg(region, RenderOptions(unit=4e307, show_labels=True))
+
 
 class TestEmbedding:
     def test_adjacency_matches_shared_edges(self):
         # the algebraic rule "up = variable * down" must coincide with the
         # two triangles sharing exactly one edge in the lattice embedding
-        from triregion import monomials_of_degree
+        from triregion.monomials import monomials_of_degree
 
         d, unit, height = 6, 40.0, 34.641016
         ups = {
@@ -160,6 +175,21 @@ class TestTilingSvg:
         region = build_region(parse_ideal("x^4, y^4, z^4"), 6)
         tiling = find_tiling(region)
         assert tiling_svg(region, tiling) == tiling_svg(region, tiling)
+
+    @pytest.mark.parametrize("d, unit", [(3, 1e308), (400, 1e306)])
+    def test_overflowing_canvas_rejected(self, d, unit):
+        # the canvas depends on d alone, so the empty tiling of the empty region will do
+        region = build_region(parse_ideal("1"), d)
+        with pytest.raises(ValueError, match="canvas"):
+            tiling_svg(region, Tiling(frozenset()), RenderOptions(unit=unit))
+
+    def test_overflowing_label_centre_rejected(self):
+        # a lozenge's label centre sums four x values first
+        region = build_region(parse_ideal("x^2, y^2, z^2"), 3)
+        tiling = find_tiling(region)
+        assert "inf" not in tiling_svg(region, tiling, RenderOptions(unit=4e307))
+        with pytest.raises(ValueError, match="label centre"):
+            tiling_svg(region, tiling, RenderOptions(unit=4e307, show_labels=True))
 
 
 class TestOracleBytes:

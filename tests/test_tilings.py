@@ -22,12 +22,12 @@ from triregion import (
     find_tiling,
     is_tileable_structural,
     parse_ideal,
-    revlex_key,
     tiling_json,
     triangle_counts,
     two_of_three,
     validate_tiling,
 )
+from triregion.monomials import revlex_key
 from triregion.matrices import _count_perfect_matchings
 from conftest import artinian_regions, hexagon, macmahon, random_artinian_ideal
 
