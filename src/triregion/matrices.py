@@ -94,14 +94,6 @@ class IntegerMatrix:
             grid.append(tuple(dense))
         return tuple(grid)
 
-    def transpose(self) -> IntegerMatrix:
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.row_entries):
-            for j, v in row:
-                columns[j].append((i, v))
-        flipped = tuple(tuple(column) for column in columns)
-        return IntegerMatrix(self.cols, self.rows, flipped, self.col_labels, self.row_labels)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

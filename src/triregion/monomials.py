@@ -1,8 +1,7 @@
 """Monomials and monomial ideals in the polynomial ring K[x, y, z].
 
 Everything here is exact integer arithmetic on exponent triples.  An ideal
-is stored by its minimal generators; membership and colon ideals are
-divisibility computations on those triples.  Standard monomials, Hilbert
+is stored by its minimal generators.  Standard monomials, Hilbert
 functions and socle degrees are all read off one staircase per call, built
 from the generators in O(n^2) for the highest degree n asked for: a monomial
 is standard when its x-exponent lies below the staircase, and the socle sits
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 VARIABLES = ("x", "y", "z")
 
@@ -64,9 +63,6 @@ class Monomial:
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(max(self.a, other.a), max(self.b, other.b), max(self.c, other.c))
 
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(self.a + other.a, self.b + other.b, self.c + other.c)
-
     def divide_by(self, other: Monomial) -> Monomial:
         """Exact quotient self / other; raises unless other divides self."""
         if not other.divides(self):
@@ -99,12 +95,6 @@ def _texts(monomials: Iterable[Monomial], n: int) -> list[str]:
     tables of each variable's factors."""
     xs, ys, zs = ([_factor(v, e) for e in range(n + 1)] for v in VARIABLES)
     return [(xs[m.a] + ys[m.b] + zs[m.c])[1:] or "1" for m in monomials]
-
-
-ONE = Monomial(0, 0, 0)
-X = Monomial(1, 0, 0)
-Y = Monomial(0, 1, 0)
-Z = Monomial(0, 0, 1)
 
 
 def revlex_key(m: Monomial) -> tuple[int, int, int]:
@@ -160,16 +150,6 @@ class MonomialIdeal:
         minimal.sort(key=revlex_key)
         return MonomialIdeal(tuple(minimal))
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def is_unit(self) -> bool:
-        return ONE in self.generators
-
-    def contains(self, m: Monomial) -> bool:
-        """Membership: some minimal generator divides m."""
-        return any(g.divides(m) for g in self.generators)
-
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of each of x, y and z."""
         return (
@@ -183,12 +163,6 @@ class MonomialIdeal:
             raise NotArtinianError(
                 f"ideal ({self}) is not Artinian: it lacks a pure power of some variable"
             )
-
-    def colon(self, m: Monomial) -> MonomialIdeal:
-        """The colon ideal (I : m) = { n : n*m in I }."""
-        return MonomialIdeal.from_generators(
-            g.lcm(m).divide_by(m) for g in self.generators
-        )
 
     def _staircase(self, n: int) -> list[list[int]]:
         """The staircase h[c][b], for b + c <= n, of the ideal.
@@ -243,13 +217,6 @@ class MonomialIdeal:
         """Number of degree-j monomials outside the ideal (0 for j < 0)."""
         return self._hilbert_values(j)[j] if j >= 0 else 0
 
-    def standard_monomials(self, j: int) -> list[Monomial]:
-        """Degree-j monomials outside the ideal, in descending revlex order."""
-        if j < 0:
-            raise ValueError(f"degree must be nonnegative, got {j}")
-        _check_degree(j)
-        return self._standard_in(j)[0]
-
     def socle_degrees(self) -> list[int]:
         """Degrees of the monomial socle basis of the quotient, sorted.
 
@@ -271,9 +238,6 @@ class MonomialIdeal:
         )
         _check_degree(min(degrees[-1] if degrees else -1, DEGREE_CAP) + 1)
         return degrees
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.generators)
 
     def __str__(self) -> str:
         if not self.generators:

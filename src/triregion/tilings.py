@@ -48,10 +48,6 @@ class Lozenge:
                 f"{self.up_label} is not adjacent to {self.down_label}"
             )
 
-    def direction(self) -> Monomial:
-        """The variable connecting the two labels."""
-        return self.up_label.divide_by(self.down_label)
-
 
 @dataclass(frozen=True)
 class Tiling:

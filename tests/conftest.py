@@ -5,11 +5,13 @@ determinants come from Fraction-based Gaussian elimination, the lozenge
 adjacency from a dict of exponent triples, permanents from
 permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
-degrees from membership tests degree by degree, region ideals, structural
+degrees from membership tests degree by degree, colon ideals from each
+generator's lcm with the monomial, region ideals, structural
 scans and over-punctured subregions from testing every monomial against
 every label, floating punctures from a fixed point over the lattice
-vertices of all pairs, and SVG documents from each triangle's vertices,
-computed and formatted one by one.
+vertices of all pairs, Kasteleyn's face condition from a walk round every
+face of the lozenge graph laid out in the plane, and SVG documents from
+each triangle's vertices, computed and formatted one by one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -35,7 +38,7 @@ from triregion import (
     puncture_list,
     triangle_counts,
 )
-from triregion.monomials import X, Y, Z, monomials_of_degree, revlex_key
+from triregion.monomials import monomials_of_degree, revlex_key
 from triregion.render import (
     DOWN_FILL,
     FLOATING_STROKE,
@@ -50,6 +53,11 @@ from triregion.render import (
 
 CORPUS_SEED = 20260811
 CORPUS_SIZE = 500
+
+ONE = Monomial(0, 0, 0)
+X = Monomial(1, 0, 0)
+Y = Monomial(0, 1, 0)
+Z = Monomial(0, 0, 1)
 
 
 @st.composite
@@ -239,6 +247,17 @@ def permutation_permanent(matrix: IntegerMatrix) -> int:
     return total
 
 
+def transposed(matrix: IntegerMatrix) -> IntegerMatrix:
+    """The transpose, labels swapped with the sides: a new matrix, so
+    ``permanent`` counts it by the matching counter."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(matrix.cols)]
+    for i, row in enumerate(matrix.row_entries):
+        for j, v in row:
+            columns[j].append((i, v))
+    flipped = tuple(tuple(column) for column in columns)
+    return IntegerMatrix(matrix.cols, matrix.rows, flipped, matrix.col_labels, matrix.row_labels)
+
+
 def swapped_rows(matrix: IntegerMatrix, i: int, j: int) -> IntegerMatrix:
     """Unlabelled copy of the matrix with rows i and j exchanged."""
     rows = list(matrix.row_entries)
@@ -249,6 +268,22 @@ def swapped_rows(matrix: IntegerMatrix, i: int, j: int) -> IntegerMatrix:
 def reversed_rows(matrix: IntegerMatrix) -> IntegerMatrix:
     """Unlabelled copy of the matrix with its rows in reverse order."""
     return IntegerMatrix(matrix.rows, matrix.cols, matrix.row_entries[::-1])
+
+
+def times(m: Monomial, n: Monomial) -> Monomial:
+    """The product m*n."""
+    return Monomial(m.a + n.a, m.b + n.b, m.c + n.c)
+
+
+def in_ideal(ideal: MonomialIdeal, m: Monomial) -> bool:
+    """Membership: some minimal generator divides m."""
+    return any(g.divides(m) for g in ideal.generators)
+
+
+def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """The colon ideal (I : m) = {n : n*m in I}, generated by lcm(g, m)/m
+    over the generators g of I."""
+    return MonomialIdeal.from_generators(g.lcm(m).divide_by(m) for g in ideal.generators)
 
 
 def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:
@@ -267,11 +302,11 @@ def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:
 def socle_by_scan(ideal: MonomialIdeal) -> list[int]:
     """Socle degrees of an Artinian quotient, degree by degree: every
     standard monomial m with x*m, y*m and z*m in the ideal, found by
-    ``contains`` until a degree has no standard monomial."""
+    ``in_ideal`` until a degree has no standard monomial."""
     degrees = []
     j = 0
-    while survivors := [m for m in monomials_of_degree(j) if not ideal.contains(m)]:
-        degrees += [j for m in survivors if all(ideal.contains(m * v) for v in (X, Y, Z))]
+    while survivors := [m for m in monomials_of_degree(j) if not in_ideal(ideal, m)]:
+        degrees += [j for m in survivors if all(in_ideal(ideal, times(m, v)) for v in (X, Y, Z))]
         j += 1
     return degrees
 
@@ -288,7 +323,7 @@ def multiplication_matrix(ideal: MonomialIdeal, d: int) -> tuple[tuple[int, ...]
     rows = [[0] * len(source) for _ in target]
     for j, mu in enumerate(source):
         for v in (X, Y, Z):
-            i = index.get(mu * v)
+            i = index.get(times(mu, v))
             if i is not None:
                 rows[i][j] = 1
     return tuple(tuple(r) for r in rows)
@@ -365,7 +400,7 @@ def non_floating_oracle(gens, d: int) -> set[Monomial]:
     exponent.  Starting from the boundary punctures, add every generator
     whose vertices meet those of one already in the set, rescanning
     ``gens`` in the order given until nothing changes."""
-    vertices = {g: {g * q for q in monomials_of_degree(d - g.degree())} for g in gens}
+    vertices = {g: {times(g, q) for q in monomials_of_degree(d - g.degree())} for g in gens}
     non_floating = {g for g in gens if any(0 in v.exponents() for v in vertices[g])}
     changed = True
     while changed:
@@ -375,6 +410,77 @@ def non_floating_oracle(gens, d: int) -> set[Monomial]:
                 non_floating.add(g)
                 changed = True
     return non_floating
+
+
+class FaceCheck(NamedTuple):
+    faces: int  # bounded faces, over all components
+    components: int  # connected components, lone triangles included
+    violations: int  # bounded faces whose sign product breaks the condition
+
+
+def kasteleyn_face_check(region: TriangularRegion, rows) -> FaceCheck:
+    """Kasteleyn's face condition for a signing of the region's lozenge graph.
+
+    ``rows`` holds ``(column, ±1)`` entries in ``biadjacency``'s row and
+    column order.  Each triangle sits at its centre: the up triangle of
+    x^a y^b z^c at (3b+1, 3c+1) and the down triangle at (3b+2, 3c+2),
+    three times the (b, c) coordinates of its centroid.  Each triangle's
+    neighbours are sorted by angle, and every face is walked by leaving each
+    triangle towards the neighbour just before the one it came from, so
+    bounded faces come out counterclockwise.  In each connected component,
+    found breadth first, the face of most negative signed area is the
+    unbounded one and is dropped.  Every other face of length 2k (an edge
+    walked twice counts twice) must have sign product (-1)^(k+1).
+    """
+    downs, ups = region.down_sorted(), region.up_sorted()
+    n = len(downs)
+    # vertex i < n is down triangle i, vertex n + j is up triangle j
+    place = [(3 * m.b + 2, 3 * m.c + 2) for m in downs] + [(3 * m.b + 1, 3 * m.c + 1) for m in ups]
+    near: list[list[int]] = [[] for _ in place]
+    sign = {}
+    for i, row in enumerate(rows):
+        for j, s in row:
+            sign[i, n + j] = sign[n + j, i] = s
+            near[i].append(n + j)
+            near[n + j].append(i)
+    for v, around in enumerate(near):
+        x, y = place[v]
+        around.sort(key=lambda w: math.atan2(place[w][1] - y, place[w][0] - x))
+    component = [-1] * len(place)
+    components = 0
+    for start in range(len(place)):
+        if component[start] < 0:
+            component[start] = components
+            queue = [start]
+            for v in queue:
+                for w in near[v]:
+                    if component[w] < 0:
+                        component[w] = components
+                        queue.append(w)
+            components += 1
+    walked = set()
+    faces = []  # (component, twice the signed area, length, sign product)
+    for u0, around in enumerate(near):
+        for v0 in around:
+            u, v = u0, v0
+            area = length = 0
+            product = 1
+            while (u, v) not in walked:
+                walked.add((u, v))
+                (x0, y0), (x1, y1) = place[u], place[v]
+                area += x0 * y1 - x1 * y0
+                length += 1
+                product *= sign[u, v]
+                u, v = v, near[v][near[v].index(u) - 1]
+            if length:
+                faces.append((component[u0], area, length, product))
+    outer: dict[int, int] = {}
+    for k, (c, area, _, _) in enumerate(faces):
+        if c not in outer or area < faces[outer[c]][1]:
+            outer[c] = k
+    bounded = [face for k, face in enumerate(faces) if k != outer[face[0]]]
+    violations = sum(1 for _, _, length, product in bounded if product != (-1) ** (length // 2 + 1))
+    return FaceCheck(len(bounded), components, violations)
 
 
 def _points(points: list[tuple[float, float]]) -> str:
@@ -442,7 +548,8 @@ def tiling_svg_oracle(
     region: TriangularRegion, tiling: Tiling, options: RenderOptions = RenderOptions()
 ) -> str:
     """``tiling_svg`` of a valid tiling, each rhombus from the vertices of
-    its two triangles and its direction from ``Lozenge.direction``."""
+    its two triangles and its direction from dividing its up label by its
+    down label."""
     u = options.unit
     h = math.sqrt(3) / 2 * u
     d = region.d
@@ -451,7 +558,7 @@ def tiling_svg_oracle(
         mu = loz.down_label
         down = _down_vertices(mu, d, u, h)
         up = _up_vertices(loz.up_label, d, u, h)
-        direction = loz.direction()
+        direction = loz.up_label.divide_by(mu)
         if direction == X:
             # up sits on the top edge of the down triangle
             quad = [up[2], up[1], down[2], down[0]]

@@ -42,7 +42,7 @@ from triregion import (
     two_of_three,
 )
 from triregion.families import convenient_degrees
-from conftest import modular_rank, monomial_subregion, multiplication_matrix
+from conftest import modular_rank, monomial_subregion, multiplication_matrix, transposed
 
 TOUCHING_PAIR = "x^7, x^5yz, xy^3z^3, y^7, z^8"
 DISJOINT_SQUARE = "x^7, x^4y^2z^2, xy^3z^3, y^7, z^7"
@@ -224,7 +224,7 @@ def test_criterion_8_structural_identities(corpus):
         down, up, _ = triangle_counts(region)
         assert down == ideal.hilbert_function(d - 2)
         assert up == ideal.hilbert_function(d - 1)
-        assert biadjacency(region).transpose().entries == multiplication_matrix(ideal, d)
+        assert transposed(biadjacency(region)).entries == multiplication_matrix(ideal, d)
         region_ideal = monomial_ideal_of_region(region)
         gens = region_ideal.generators
         if (

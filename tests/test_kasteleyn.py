@@ -2,6 +2,9 @@
 
 The backtracking ``enumerate_tilings`` and the permutation expansion in
 ``conftest`` are the oracles; MacMahon's box formula pins the hexagons.
+Every region counted as |det K| here also has its signing checked face by
+face against Kasteleyn's condition, which proves the count given the
+determinant.
 """
 
 from __future__ import annotations
@@ -27,19 +30,23 @@ from triregion import (
     permanent,
     rank,
 )
-from triregion.monomials import X, monomials_of_degree
+from triregion.monomials import monomials_of_degree
 from triregion import matrices, regions
 from triregion.regions import _kasteleyn_rows
 from conftest import (
+    X,
     fraction_determinant,
     fraction_rank,
     hexagon,
+    kasteleyn_face_check,
     macmahon,
     non_floating_oracle,
     permutation_permanent,
     region_ideal_oracle,
     reversed_rows,
     swapped_rows,
+    times,
+    transposed,
 )
 
 #: Enumeration stops here in the property tests; capped draws are skipped.
@@ -128,10 +135,22 @@ LONE_NEGATIVE_ROW = TriangularRegion(
 )
 
 
+def assert_kasteleyn_signed(region: TriangularRegion):
+    """The signing ``permanent`` takes meets Kasteleyn's condition on every
+    bounded face, and the faces walked number E - V + C by Euler's formula."""
+    rows = _kasteleyn_rows(region)
+    check = kasteleyn_face_check(region, rows)
+    triangles = len(region.up_labels) + len(region.down_labels)
+    assert check.faces == sum(map(len, rows)) - triangles + check.components
+    assert check.violations == 0
+    return check
+
+
 def assert_counted(region: TriangularRegion) -> None:
     count = enumerate_tilings(region, cap=ORACLE_CAP)
     n = count.count
     if count.exact and len(region.up_labels) == len(region.down_labels):
+        assert_kasteleyn_signed(region)
         Z = biadjacency(region)
         assert permanent(Z) == n
         assert abs(determinant(Z)) <= n
@@ -162,6 +181,7 @@ class TestKasteleynCount:
         region = build_region(parse_ideal(text), d)
         Z = biadjacency(region)
         assert any(v < 0 for row in kasteleyn_matrix(region).row_entries for _, v in row)
+        assert_kasteleyn_signed(region)
         assert permanent(Z) == enumerate_tilings(region).count == count
         assert determinant(Z) == det
 
@@ -190,6 +210,7 @@ class TestKasteleynCount:
         ],
     )
     def test_hole_around_an_island(self, region, count, det):
+        assert_kasteleyn_signed(region)
         Z = biadjacency(region)
         assert permanent(Z) == enumerate_tilings(region).count == count
         assert determinant(Z) == det
@@ -206,14 +227,16 @@ class TestKasteleynCount:
         )
         Z = biadjacency(region)
         assert any(v < 0 for row in kasteleyn_matrix(region).row_entries for _, v in row)
+        assert_kasteleyn_signed(region)
         assert permanent(Z) == enumerate_tilings(region).count == 2
         assert determinant(Z) == 0
 
     def test_macmahon_hexagons_to_degree_60(self):
         boxes = [(a, b, c) for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]
         for box in boxes + [(5, 10, 15), (1, 1, 58), (20, 20, 20)]:
-            ideal, d = hexagon(*box)
-            assert permanent(biadjacency(build_region(ideal, d))) == macmahon(*box)
+            region = build_region(*hexagon(*box))
+            assert_kasteleyn_signed(region)
+            assert permanent(biadjacency(region)) == macmahon(*box)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(holey_ideals())
@@ -224,6 +247,40 @@ class TestKasteleynCount:
     @given(label_regions())
     def test_arbitrary_label_sets(self, region):
         assert_counted(region)
+
+
+class TestKasteleynFaces:
+    """The face check on the largest counted regions, and its own bite."""
+
+    @pytest.mark.parametrize(
+        "text, d, faces",
+        [
+            # one hole; CI pins this count for the installed command
+            ("x^45, y^45, z^45, x^15y^15z^15", 60, 1261),
+            # no hole: one hexagonal face per interior lattice vertex, 3*30^2 - 3*30 + 1
+            ("x^60, y^60, z^60", 90, 2611),
+        ],
+        ids=["cored-hexagon-60", "hexagon-90"],
+    )
+    def test_large_regions(self, text, d, faces):
+        check = assert_kasteleyn_signed(build_region(parse_ideal(text), d))
+        assert (check.faces, check.components) == (faces, 1)
+
+    def test_islands_are_components_with_their_own_faces(self):
+        # the hole around an island is a face of the outer ring only
+        assert assert_kasteleyn_signed(ring_region(9, ((3, 3, 3),), {1, 3}))[:2] == (2, 2)
+        assert assert_kasteleyn_signed(ring_region(15, ((5, 5, 5),), {2, 4, 5}))[:2] == (26, 2)
+
+    def test_wrong_signs_are_caught(self):
+        # unsigned, only the hole's face is wrong; one flipped edge between
+        # two hexagons breaks both
+        region = build_region(parse_ideal("x^9, y^9, z^9, x^3y^3z^3"), 12)
+        rows = _kasteleyn_rows(region)
+        unsigned = [tuple((j, 1) for j, _ in row) for row in rows]
+        assert kasteleyn_face_check(region, unsigned).violations == 1
+        k = len(rows) // 2
+        flipped = rows[:k] + [((rows[k][0][0], -rows[k][0][1]),) + rows[k][1:]] + rows[k + 1:]
+        assert kasteleyn_face_check(region, flipped).violations == 2
 
 
 class TestHoleFreeFastPath:
@@ -267,6 +324,7 @@ class TestSignedRowOrder:
         row = K.row_entries[biadjacency(LONE_NEGATIVE_ROW).row_labels.index(Monomial(0, 3, 1))]
         assert len(row) == 1 and row[0][1] == -1
         assert (determinant(K), rank(K)) == (-2, 15)
+        assert_kasteleyn_signed(LONE_NEGATIVE_ROW)
         assert permanent(biadjacency(LONE_NEGATIVE_ROW)) == enumerate_tilings(LONE_NEGATIVE_ROW).count == 2
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -311,6 +369,7 @@ class TestCounterFallback:
         ids=["order6-flip", "order3", "empty", "lone-negative-row"],
     )
     def test_region_takes_the_determinant(self, region, count, counter_calls):
+        assert_kasteleyn_signed(region)
         assert permanent(biadjacency(region)) == count
         assert counter_calls == []
 
@@ -319,10 +378,10 @@ class TestCounterFallback:
         [
             replace(Z),
             IntegerMatrix(Z.rows, Z.cols, Z.row_entries, Z.row_labels, Z.col_labels),
-            Z.transpose(),
+            transposed(Z),
             replace(Z, row_entries=Z.row_entries[1:] + Z.row_entries[:1]),
             replace(Z, row_entries=(Z.row_entries[0][1:],) + Z.row_entries[1:]),
-            replace(Z, row_labels=tuple(m * X for m in Z.row_labels)),
+            replace(Z, row_labels=tuple(times(m, X) for m in Z.row_labels)),
             IntegerMatrix.from_rows([list(row) for row in Z.entries]),
         ],
         ids=[

@@ -21,8 +21,8 @@ from triregion import (
     rank,
 )
 from triregion.matrices import _MERSENNE_EXPONENTS, _count_perfect_matchings, _exact_prime, matrix_json
-from triregion.monomials import X
 from conftest import (
+    X,
     fraction_determinant,
     fraction_rank,
     hexagon,
@@ -32,6 +32,8 @@ from conftest import (
     random_artinian_ideal,
     reversed_rows,
     swapped_rows,
+    times,
+    transposed,
 )
 
 
@@ -110,7 +112,7 @@ class TestBiadjacency:
         cases.append(hexagon(10, 10, 10))
         for ideal, d in cases:
             Z = biadjacency(build_region(ideal, d))
-            assert Z.transpose().entries == multiplication_matrix(ideal, d)
+            assert transposed(Z).entries == multiplication_matrix(ideal, d)
 
 
 class TestDeterminant:
@@ -316,7 +318,7 @@ class TestPermanent:
                 replace(Z, row_entries=rows[1:] + rows[:1]),
                 replace(Z, row_entries=(rows[0][1:],) + rows[1:]),
                 replace(Z, row_labels=downs[1:] + downs[:1], row_entries=rows[1:] + rows[:1]),
-                replace(Z, row_labels=tuple(m * X for m in downs)),
+                replace(Z, row_labels=tuple(times(m, X) for m in downs)),
                 replace(Z, col_labels=ups[-1:] + ups[:-1]),
                 replace(Z, row_labels=downs[:1] * len(downs)),
             ]
@@ -397,4 +399,3 @@ class TestSparseRows:
     def test_biadjacency_round_trip(self):
         Z = biadjacency(build_region(parse_ideal("x^6, y^7, z^8, xy^5z, xy^2z^3, x^3y^2z"), 8))
         assert IntegerMatrix.from_rows(Z.entries) == replace(Z, row_labels=None, col_labels=None)
-        assert Z.transpose().transpose() == Z

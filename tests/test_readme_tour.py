@@ -28,7 +28,7 @@ PUBLIC = [
 
 #: Helpers that live in their modules and are not re-exported.
 MODULE_ONLY = {
-    "monomials": ["ONE", "X", "Y", "Z", "DEGREE_CAP", "monomials_of_degree", "revlex_key"],
+    "monomials": ["DEGREE_CAP", "monomials_of_degree", "revlex_key"],
     "tilings": ["ENUMERATION_CAP"],
     "families": ["FIFTH_GENERATOR_NOTE", "convenient_degrees"],
     "matrices": ["matrix_json"],

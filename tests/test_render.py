@@ -21,11 +21,15 @@ from triregion import (
     tiling_svg,
 )
 from conftest import (
+    X,
+    Y,
+    Z,
     _down_vertices,
     _up_vertices,
     artinian_regions,
     region_svg_oracle,
     tiling_svg_oracle,
+    times,
 )
 
 #: Units whose coordinates round differently.  At 2.345 and 0.003 many x
@@ -129,10 +133,7 @@ class TestEmbedding:
             for key, nu in ups.items():
                 if len(down_pts & set(key)) == 2:
                     neighbors.add(nu)
-            expected = {
-                mu * v
-                for v in (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
-            }
+            expected = {times(mu, v) for v in (X, Y, Z)}
             assert neighbors == expected
 
     def test_corner_labels_positioned(self):
