@@ -1,31 +1,35 @@
 """The weak Lefschetz property decision for Artinian monomial quotients.
 
-The quotient has the property exactly when every bi-adjacency matrix of its
-triangular regions has maximal rank, which identifies the multiplication
-map by x+y+z degree by degree.  No generic linear form search is needed:
-for monomial ideals in characteristic zero this single choice is complete.
+The quotient A = R/I has the property exactly when every bi-adjacency
+matrix of its triangular regions has maximal rank, which identifies the
+multiplication map by l = x+y+z degree by degree.  No generic linear form
+search is needed: for monomial ideals in characteristic zero this single
+choice is complete.
 
-Each matrix's rows are read straight off the ideal's staircase, with the
-neighbour rule of `triregion.regions`, and ranked by the elimination behind
-``matrices.rank``: full rank modulo the prime 2^61 - 1 proves full rank
-over Q, and anything less is recomputed modulo a prime above Hadamard's
-bound, where the rank mod p is the rank over Q, so every verdict is exact.
+The cokernel of l: A_{t-1} -> A_t is (K[x,y]/J)_t, where J is generated
+by the restrictions g(x, y, -x-y) of the generators g of I (Migliore,
+Miro-Roig and Nagel, Trans. AMS 2011; Brenner and Kaid 2007), so over every
+field the rank is h(t) - (t+1) + rank J_t, read off t+1 columns.  Maximal
+rank mod 2^61 - 1 is maximal rank over Q; any other side is ranked on the
+line again modulo a prime above Hadamard's bound on the bi-adjacency
+minors, where the rank mod p is the rank over Q.
+
 ``has_wlp`` computes ranks only where the map can fail.  While some
 variable divides no generator of degree below d, the map into degree d-1
-is one-to-one (Migliore, Miro-Roig and Nagel, Trans. AMS 2011, Prop. 2.1),
-so no rank is computed in that injective prefix.  Once the map is onto
-some degree it is onto every later degree, so none is computed past the
-first surjective degree either.  Every Hilbert value and every ranked side
-the scan needs comes from one staircase of the ideal.
+is one-to-one (Migliore, Miro-Roig and Nagel, Prop. 2.1), so no rank is
+computed in that injective prefix.  Once the map is onto some degree it is
+onto every later degree, so none is computed past the first surjective
+degree either.  Every Hilbert value the scan needs comes from one
+staircase of the ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .matrices import _rank
+from .matrices import _RANK_PRIME, _Row, _eliminate, _prime_above
 from .monomials import Monomial, MonomialIdeal, _check_degree, _hilbert_of
-from .regions import _neighbours
 
 
 @dataclass(frozen=True)
@@ -67,41 +71,51 @@ class WlpReport:
 def wlp_in_degree(ideal: MonomialIdeal, d: int) -> DegreeRecord:
     """Rank record of the side-d bi-adjacency matrix; empty-sided maps are maximal.
 
-    The rows of ``biadjacency(build_region(ideal, d))`` are read off the
-    ideal's staircase through degree d-1; no region is built.
+    The Hilbert values come from the ideal's staircase through degree d-1;
+    no region is built.
     """
     ideal.require_artinian()
     if d < 1:
         raise ValueError("degree must be positive")
     _check_degree(d)
-    return _ranked(ideal._staircase(d - 1), d)
+    h = [0, *_hilbert_of(ideal._staircase(d - 1))]  # h[j + 1] is the Hilbert value in degree j
+    return _side(ideal, d, h[d - 1], h[d], _restricted(ideal, _RANK_PRIME), _RANK_PRIME)
 
 
-def _ranked(h: list[list[int]], d: int) -> DegreeRecord:
-    """The side-d record, ranked from rows read off the ideal's staircase h
-    through degree d-1 or beyond.
+def _restricted(ideal: MonomialIdeal, p: int) -> list[tuple[int, int, _Row]]:
+    """``(degree, a, coefficients)`` of each generator x^a y^b z^c, whose
+    restriction (-1)^c x^a y^b (x+y)^c has the coefficient (-1)^c C(c, k) at
+    x^(a+k) y^(b+c-k): the pairs ``(k, value mod p)`` where it is nonzero."""
+    forms = []
+    for g in ideal.generators:
+        values = ((k, (-1) ** g.c * comb(g.c, k) % p) for k in range(g.c + 1))
+        forms.append((g.degree(), g.a, tuple((k, v) for k, v in values if v)))
+    return forms
 
-    x^a y^b z^c is standard iff a < h[c][b].  Cell (b, c) holds the up label
-    with a = d-1-b-c, standard iff h[c][b] > a, and, if b + c <= d-2, the
-    down label with a one less, standard iff h[c][b] >= a.  Cells go in
-    descending revlex order, so the rows and columns are ``biadjacency``'s.
-    """
-    column: dict[int, tuple[int, int]] = {}
-    downs = []
-    for c in range(d):
-        row, key, top = h[c], c * d, d - 1 - c
-        if not row[0]:
-            break  # the staircase is 0 from here on
-        for b in range(max(0, top - row[0]), d - c):  # h[c][b] <= h[c][0]
-            slack = row[b] + b - top  # h[c][b] minus the up label's a
-            if slack > 0:
-                column[key + b] = (len(column), 1)
-            if slack >= 0 and b < top:
-                downs.append(key + b)
-    rows = _neighbours(column, d, downs)
-    r = _rank(rows, len(column))
-    return DegreeRecord(d=d, rows=len(rows), cols=len(column), rank=r,
-                        maximal=r == min(len(rows), len(column)))
+
+def _side(ideal: MonomialIdeal, d: int, rows: int, cols: int,
+          forms: list[tuple[int, int, _Row]], p: int) -> DegreeRecord:
+    """The side-d record, rows = h(d-2) and cols = h(d-1), ranked mod p from
+    the ideal's restricted ``forms``.  A rank short of min(rows, cols) is
+    ranked again modulo q, the ``_prime_above`` 3^min(rows, cols): every row
+    and column of the bi-adjacency matrix has at most three ones, so by
+    Hadamard's bound no nonzero minor vanishes mod q, and the rank mod q is
+    the rank over Q, as is the rank mod p if q = p."""
+    r = cols - d + _line_rank(forms, d - 1, p)
+    if r < min(rows, cols) and (q := _prime_above(3 ** min(rows, cols))) != p:
+        r = cols - d + _line_rank(_restricted(ideal, q), d - 1, q)
+    return DegreeRecord(d=d, rows=rows, cols=cols, rank=r, maximal=r == min(rows, cols))
+
+
+def _line_rank(forms: list[tuple[int, int, _Row]], t: int, p: int) -> int:
+    """rank J_t mod p.  J_t is spanned by the rows x^i y^(t-deg g-i) g(x, y, -x-y)
+    of the restricted ``forms`` over x^j y^(t-j); a single-entry row spans
+    its column, which the other rows drop."""
+    span = [tuple((a + i + k, v) for k, v in coefficients)
+            for degree, a, coefficients in forms for i in range(t - degree + 1)]
+    covered = {row[0][0] for row in span if len(row) == 1}
+    span = [kept for row in span if (kept := tuple(e for e in row if e[0] not in covered))]
+    return len(covered) + _eliminate(span, t + 1, p)[0]
 
 
 def has_wlp(ideal: MonomialIdeal) -> WlpReport:
@@ -117,9 +131,9 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
 
     Injective prefix: let e_v be the least degree of a generator divisible
     by the variable v, and let d <= max_v e_v.  Then some v, say z, divides
-    no generator of degree <= d-1, so the ideal J those generators span is
-    extended from K[x,y] and R/J = (K[x,y]/J')[z].  There l is monic in z,
-    hence a nonzerodivisor, in every characteristic.  I and J agree in
+    no generator of degree <= d-1, so the ideal I' those generators span is
+    extended from K[x,y] and R/I' = (K[x,y]/I'')[z].  There l is monic in z,
+    hence a nonzerodivisor, in every characteristic.  I and I' agree in
     degrees <= d-1, so l: A_{d-2} -> A_{d-1} is one-to-one: its rank is
     rows = h(d-2).
 
@@ -127,8 +141,7 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     onto A_{d-1}; then A_d = A_1*A_{d-1} = A_1*l*A_{d-2} lies in
     l*A_{d-1}, so every later map is onto as well: its rank is cols.
 
-    One staircase through ``_quotient_degree`` gives every Hilbert value
-    and the rows of every ranked side, which lie at or below that degree;
+    One staircase through ``_quotient_degree`` gives every Hilbert value;
     every side is checked against the cap before its record is made.
     """
     ideal.require_artinian()
@@ -136,8 +149,9 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     injective_through = max(
         min((g.degree() for g in gens if g.exponents()[v]), default=0) for v in range(3)
     )
-    staircase = ideal._staircase(ideal._quotient_degree())
-    values = _hilbert_of(staircase)
+    values = _hilbert_of(ideal._staircase(ideal._quotient_degree()))
+    p = _RANK_PRIME
+    forms = _restricted(ideal, p)
 
     def h(j: int) -> int:
         return values[j] if 0 <= j < len(values) else 0
@@ -153,7 +167,7 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
         elif d <= injective_through:
             record = DegreeRecord(d=d, rows=rows, cols=cols, rank=rows, maximal=True)
         else:
-            record = _ranked(staircase, d)
+            record = _side(ideal, d, rows, cols, forms, p)
         records.append(record)
         if not record.maximal:
             return WlpReport(False, d, tuple(records), d)

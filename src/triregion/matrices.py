@@ -130,11 +130,7 @@ def rank(matrix: IntegerMatrix) -> int:
     rank over Q.  A smaller rank is recomputed modulo the ``_exact_prime``
     of the matrix when that prime is wider.
     """
-    return _rank(matrix.row_entries, matrix.cols)
-
-
-def _rank(rows: Sequence[_Row], cols: int) -> int:
-    """``rank`` of the matrix with these rows and ``cols`` columns."""
+    rows, cols = matrix.row_entries, matrix.cols
     found = _eliminate(rows, cols, _RANK_PRIME)[0]
     if found == min(len(rows), cols):
         return found
@@ -151,6 +147,13 @@ def _exact_prime(rows: Sequence[_Row]) -> int:
     bound = 1
     for row in rows:
         bound *= max(1, sum(v * v for _, v in row))
+    return _prime_above(bound)
+
+
+def _prime_above(bound: int) -> int:
+    """The least Mersenne prime p = 2^e - 1 with 2^(2e-2) > 4 * bound, so
+    that every integer whose square is at most ``bound`` lies strictly
+    between -p/2 and p/2."""
     for e in _MERSENNE_EXPONENTS:
         if 1 << (2 * e - 2) > 4 * bound:
             return (1 << e) - 1

@@ -14,6 +14,11 @@ fast path or rule has lost the test that guards it.  An old text that no
 longer occurs exactly once is an error, not a skip: the mutant has gone
 stale and must be brought up to date with the code.
 
+Dropping the sign (-1)^c of a generator's restriction to the line x+y+z = 0
+in `triregion.lefschetz` is an equivalent mutant, so none is recorded: it
+restricts to x+y-z = 0 instead, and z -> -z maps a monomial ideal to
+itself, so every rank is unchanged.
+
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when one
 is stale or its tests cannot run.  pytest does not collect this file.
 """
@@ -102,9 +107,31 @@ MUTANTS = [
     Mutant(
         "wlp-in-degree-unchecked",
         "src/triregion/lefschetz.py",
-        "    _check_degree(d)\n    return _ranked(ideal._staircase(d - 1), d)\n",
-        "    return _ranked(ideal._staircase(d - 1), d)\n",
+        "    _check_degree(d)\n    h = [0, *_hilbert_of(ideal._staircase(d - 1))]",
+        "    h = [0, *_hilbert_of(ideal._staircase(d - 1))]",
         ("tests/test_lefschetz.py",),
+    ),
+    Mutant(
+        "line-rank-trusted",
+        "src/triregion/lefschetz.py",
+        "    if r < min(rows, cols) and (q := _prime_above(3 ** min(rows, cols))) != p:\n"
+        "        r = cols - d + _line_rank(_restricted(ideal, q), d - 1, q)\n",
+        "",
+        ("tests/test_lefschetz.py::TestDisjointPuncturesSquareIdeal::test_weak_certificate_ranked_exactly",),
+    ),
+    Mutant(
+        "line-without-binomials",
+        "src/triregion/lefschetz.py",
+        "(-1) ** g.c * comb(g.c, k) % p",
+        "(-1) ** g.c % p",
+        ("tests/test_lefschetz.py::TestRecordsPastSurjectivity::test_corpus",),
+    ),
+    Mutant(
+        "line-without-x-offset",
+        "src/triregion/lefschetz.py",
+        "tuple((a + i + k, v) for k, v in coefficients)",
+        "tuple((i + k, v) for k, v in coefficients)",
+        ("tests/test_lefschetz.py::TestLineIdentity",),
     ),
     Mutant(
         "staircase-without-prefix-over-c",

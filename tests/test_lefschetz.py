@@ -26,8 +26,8 @@ from triregion import (
     wlp_in_degree,
 )
 from triregion import lefschetz, monomials
-from triregion.matrices import _exact_prime, _rank, rank
-from conftest import fraction_rank, random_artinian_ideal
+from triregion.matrices import _RANK_PRIME, _exact_prime, _prime_above, rank
+from conftest import fraction_rank, modular_rank, random_artinian_ideal
 
 
 class TestWlpInDegree:
@@ -70,13 +70,21 @@ class TestHasWlp:
         assert report.failing_degree == 4
 
     def test_wide_prime_failing_degree(self):
-        # the singular 486 x 486 degree-36 map needs the 2^521 - 1 rank pass
+        # the singular 486 x 486 degree-36 map needs the 2^521 - 1 rank pass,
+        # both on the line and on its bi-adjacency rows
         ideal = parse_ideal("x^27, y^27, z^27, x^9y^9z^9")
         report = has_wlp(ideal)
         assert report.failing_degree == 36
         record = report.records[-1]
         assert (record.d, record.rows, record.cols, record.rank) == (36, 486, 486, 485)
+        assert _prime_above(3 ** 486) == (1 << 521) - 1
         assert _exact_prime(biadjacency(build_region(ideal, 36)).row_entries) == (1 << 521) - 1
+
+    def test_exact_prime_reaches_degree_cap(self):
+        # a side d <= DEGREE_CAP has rows = h(d-2) <= d(d-1)/2, and its
+        # exact pass needs a prime above 3^rows
+        cap = monomials.DEGREE_CAP
+        assert _prime_above(3 ** (cap * (cap - 1) // 2)) == (1 << 110503) - 1
 
     def test_short_circuit_keeps_records(self):
         report = has_wlp(parse_ideal("x^6, y^7, z^8, xy^5z, xy^2z^3, x^3y^2z"))
@@ -124,6 +132,27 @@ class TestHasWlp:
                     for g in ideal.generators
                 )
                 assert has_wlp(permuted).verdict == base
+
+
+def spy_on_sides(monkeypatch):
+    """Lists that collect ``(d, rows, cols)`` of every side ``has_wlp`` or
+    ``wlp_in_degree`` ranks, and d of every side ranked again, exactly, on
+    the line modulo a prime other than the certificate's."""
+    ranked, exact = [], []
+    side, line_rank = lefschetz._side, lefschetz._line_rank
+
+    def spied_side(ideal, d, rows, cols, forms, p):
+        ranked.append((d, rows, cols))
+        return side(ideal, d, rows, cols, forms, p)
+
+    def spied_line_rank(forms, t, p):
+        if p != lefschetz._RANK_PRIME:
+            exact.append(t + 1)
+        return line_rank(forms, t, p)
+
+    monkeypatch.setattr(lefschetz, "_side", spied_side)
+    monkeypatch.setattr(lefschetz, "_line_rank", spied_line_rank)
+    return ranked, exact
 
 
 def region_record(ideal, d):
@@ -234,17 +263,18 @@ class TestRecordsPastSurjectivity:
     def test_ranks_only_between_prefix_and_suffix(self, monkeypatch):
         # e_x = 12 and e_y = e_z = 23, so sides 1-23 are injective; the map
         # first becomes surjective at side 25, so only sides 24 and 25 need
-        # a rank
-        ranked = []
-        monkeypatch.setattr(
-            lefschetz, "_rank", lambda rows, cols: ranked.append((len(rows), cols)) or _rank(rows, cols)
-        )
+        # a rank, and the line certifies both
+        ranked, exact = spy_on_sides(monkeypatch)
         report = has_wlp(convenient_family(8, 25))
         assert report.verdict and report.scanned_through == 48
         assert len(ranked) == 2
         assert ranked == [
-            (r.rows, r.cols) for r in report.records if r.d in (24, 25)
+            (r.d, r.rows, r.cols) for r in report.records if r.d in (24, 25)
         ]
+        assert exact == []
+        # the singular 486 x 486 side 36 is the one side the line leaves open
+        assert has_wlp(parse_ideal("x^27, y^27, z^27, x^9y^9z^9")).failing_degree == 36
+        assert exact == [36]
 
     def test_degree_cap_checked_on_every_side(self, monkeypatch):
         # every side up to 30 lies in the injective prefix, and none of them
@@ -279,6 +309,64 @@ class TestDisjointPuncturesSquareIdeal:
         for record in report.records:
             Z = biadjacency(build_region(ideal, record.d))
             assert fraction_rank(Z) == record.rank == min(Z.rows, Z.cols)
+
+    @pytest.mark.parametrize("prime, line_rank", [(7, 30), (2, 31)])
+    def test_weak_certificate_ranked_exactly(self, monkeypatch, prime, line_rank):
+        # modulo a prime dividing the determinant the line ranks side 9
+        # short, so the verdict must come from the exact pass modulo 2^61 - 1
+        ideal = parse_ideal(self.IDEAL)
+        expected = has_wlp(ideal)
+        Z = biadjacency(build_region(ideal, 9))
+        forms = lefschetz._restricted(ideal, prime)
+        assert Z.cols - 9 + lefschetz._line_rank(forms, 8, prime) == line_rank
+        assert modular_rank(Z.entries, prime) == line_rank
+        monkeypatch.setattr(lefschetz, "_RANK_PRIME", prime)
+        _, exact = spy_on_sides(monkeypatch)
+        report = has_wlp(ideal)
+        assert report.verdict
+        assert [(r.d, r.rank) for r in report.records if r.d == 9] == [(9, 32)]
+        assert report == expected
+        assert 9 in exact
+        assert wlp_in_degree(ideal, 9) == expected.records[8]
+
+
+PRIMES = (_RANK_PRIME, 2, 3, 7)
+
+
+def assert_line_identity(ideal):
+    """rank of the side-d bi-adjacency matrix = h(t) - (t+1) + rank J_t
+    over GF(p), with t = d-1 and J_t spanned on the line x+y+z = 0, for
+    every side through the quotient degree + 1 and every prime of PRIMES.
+    Returns the number of (side, prime) cases checked and of those where
+    the rank is not maximal."""
+    cases = short = 0
+    for d in range(1, ideal._quotient_degree() + 2):
+        Z = biadjacency(build_region(ideal, d))
+        for p in PRIMES:
+            line = lefschetz._line_rank(lefschetz._restricted(ideal, p), d - 1, p)
+            r = modular_rank(Z.entries, p)
+            assert Z.cols - d + line == r, (str(ideal), d, p)
+            cases += 1
+            short += r < min(Z.rows, Z.cols)
+    return cases, short
+
+
+class TestLineIdentity:
+    """The cokernel of x+y+z into degree t is (K[x,y]/J)_t over every field,
+    so the line's rank mod p gives the bi-adjacency rank mod p exactly."""
+
+    def test_corpus(self, corpus):
+        cases, short = map(sum, zip(*(assert_line_identity(ideal) for ideal, _ in corpus)))
+        assert cases == 16580
+        assert short == 117
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(scan_ideals())
+    @example(parse_ideal("x^7, x^4y^2z^2, xy^3z^3, y^7, z^7"))
+    @example(parse_ideal("x^3, y^3, z^3, xyz"))
+    @example(parse_ideal("1"))
+    def test_random_ideals(self, ideal):
+        assert_line_identity(ideal)
 
 
 class TestTruncate:
