@@ -28,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .matrices import _RANK_PRIME, _Row, _eliminate, _prime_above
-from .monomials import Monomial, MonomialIdeal, _check_degree, _hilbert_of
+from .matrices import _Row, _eliminate, _prime_above
+from .monomials import Monomial, MonomialIdeal, _check_degree
+
+# Modulus of the line-rank certificate, the Mersenne prime 2^61 - 1.
+_RANK_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,20 @@ def wlp_in_degree(ideal: MonomialIdeal, d: int) -> DegreeRecord:
     if d < 1:
         raise ValueError("degree must be positive")
     _check_degree(d)
-    h = [0, *_hilbert_of(ideal._staircase(d - 1))]  # h[j + 1] is the Hilbert value in degree j
-    return _side(ideal, d, h[d - 1], h[d], _restricted(ideal, _RANK_PRIME), _RANK_PRIME)
+    h = [0, *ideal._hilbert_values(d - 1)]  # h[j + 1] is the Hilbert value in degree j
+    return _side(ideal, d, h[d - 1], h[d], _restricted(ideal, _RANK_PRIME, d - 1), _RANK_PRIME)
 
 
-def _restricted(ideal: MonomialIdeal, p: int) -> list[tuple[int, int, _Row]]:
-    """``(degree, a, coefficients)`` of each generator x^a y^b z^c, whose
-    restriction (-1)^c x^a y^b (x+y)^c has the coefficient (-1)^c C(c, k) at
-    x^(a+k) y^(b+c-k): the pairs ``(k, value mod p)`` where it is nonzero."""
+def _restricted(ideal: MonomialIdeal, p: int, t: int) -> list[tuple[int, int, _Row]]:
+    """``(degree, a, coefficients)`` of each generator x^a y^b z^c of degree
+    at most t, whose restriction (-1)^c x^a y^b (x+y)^c has the coefficient
+    (-1)^c C(c, k) at x^(a+k) y^(b+c-k): the pairs ``(k, value mod p)`` where
+    it is nonzero.  A generator of degree above t gives no row of J_s for
+    any s <= t, so its binomials are never computed."""
     forms = []
     for g in ideal.generators:
+        if g.degree() > t:
+            continue
         values = ((k, (-1) ** g.c * comb(g.c, k) % p) for k in range(g.c + 1))
         forms.append((g.degree(), g.a, tuple((k, v) for k, v in values if v)))
     return forms
@@ -103,7 +110,7 @@ def _side(ideal: MonomialIdeal, d: int, rows: int, cols: int,
     the rank over Q, as is the rank mod p if q = p."""
     r = cols - d + _line_rank(forms, d - 1, p)
     if r < min(rows, cols) and (q := _prime_above(3 ** min(rows, cols))) != p:
-        r = cols - d + _line_rank(_restricted(ideal, q), d - 1, q)
+        r = cols - d + _line_rank(_restricted(ideal, q, d - 1), d - 1, q)
     return DegreeRecord(d=d, rows=rows, cols=cols, rank=r, maximal=r == min(rows, cols))
 
 
@@ -149,9 +156,10 @@ def has_wlp(ideal: MonomialIdeal) -> WlpReport:
     injective_through = max(
         min((g.degree() for g in gens if g.exponents()[v]), default=0) for v in range(3)
     )
-    values = _hilbert_of(ideal._staircase(ideal._quotient_degree()))
+    n = ideal._quotient_degree()
+    values = ideal._hilbert_values(n)
     p = _RANK_PRIME
-    forms = _restricted(ideal, p)
+    forms = _restricted(ideal, p, n + 1)
 
     def h(j: int) -> int:
         return values[j] if 0 <= j < len(values) else 0

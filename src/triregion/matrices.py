@@ -7,14 +7,13 @@ floating point anywhere.  Rank and determinant come from one sparse row
 elimination over GF(p), from the last row up, in which every bi-adjacency
 row with an x-neighbour is a pivot as it stands.  Modulo a prime above
 Hadamard's bound no minor vanishes that is nonzero over Q, so the rank mod
-p is exact and the determinant is its symmetric residue.  The rank is
-first computed modulo 2^61 - 1, which proves full rank when it finds it.
-The permanent is taken of 0/1 matrices only, the kind ``biadjacency``
-builds: it is the number of perfect matchings.  For a matrix that
-``biadjacency`` built it is |det K|, the determinant of the Kasteleyn
-signing that `triregion.regions` reads off the region's holes; any other
-0/1 matrix goes to the backtracking matching counter, which lives here
-too and also serves ``enumerate_tilings``.
+p is exact and the determinant is its symmetric residue.  The permanent
+is taken of 0/1 matrices only, the kind ``biadjacency`` builds: it is the
+number of perfect matchings.  For a matrix that ``biadjacency`` built it
+is |det K|, the determinant of the Kasteleyn signing that
+`triregion.regions` reads off the region's holes; any other 0/1 matrix
+goes to the backtracking matching counter, which lives here too and also
+serves ``enumerate_tilings``.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .regions import TriangularRegion, _adjacency, _kasteleyn_rows
 
 #: A sparse row: its nonzero ``(column, value)`` entries in ascending column order.
 _Row = tuple[tuple[int, int], ...]
-
-# Modulus of the rank certificate, the Mersenne prime 2^61 - 1.
-_RANK_PRIME = (1 << 61) - 1
 
 # Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on.  The last one
 # is exact for every bi-adjacency matrix within ``DEGREE_CAP``: 130,816 rows
@@ -124,18 +120,9 @@ def determinant(matrix: IntegerMatrix) -> int:
 
 
 def rank(matrix: IntegerMatrix) -> int:
-    """Exact rank over the rationals.
-
-    Reduction mod p never creates rank, so full rank modulo 2^61 - 1 is the
-    rank over Q.  A smaller rank is recomputed modulo the ``_exact_prime``
-    of the matrix when that prime is wider.
-    """
-    rows, cols = matrix.row_entries, matrix.cols
-    found = _eliminate(rows, cols, _RANK_PRIME)[0]
-    if found == min(len(rows), cols):
-        return found
-    p = _exact_prime(rows)
-    return found if p == _RANK_PRIME else _eliminate(rows, cols, p)[0]
+    """Exact rank over the rationals by elimination modulo ``_exact_prime``."""
+    rows = matrix.row_entries
+    return _eliminate(rows, matrix.cols, _exact_prime(rows))[0]
 
 
 def _exact_prime(rows: Sequence[_Row]) -> int:

@@ -211,7 +211,13 @@ class MonomialIdeal:
         sums to the Hilbert function in O(n^2) for all n + 1 degrees.
         """
         _check_degree(n)
-        return _hilbert_of(self._staircase(n))
+        diff = [0] * (n + 2)
+        for c, row in enumerate(self._staircase(n)):
+            for b, a in enumerate(row):
+                if a:
+                    diff[b + c] += 1
+                    diff[min(b + c + a, n + 1)] -= 1
+        return list(accumulate(diff[:-1]))
 
     def hilbert_function(self, j: int) -> int:
         """Number of degree-j monomials outside the ideal (0 for j < 0)."""
@@ -243,18 +249,6 @@ class MonomialIdeal:
         if not self.generators:
             return "0"
         return ", ".join(str(g) for g in self.generators)
-
-
-def _hilbert_of(h: list[list[int]]) -> list[int]:
-    """The Hilbert function in degrees 0..n, for the staircase h through n."""
-    n = len(h) - 1
-    diff = [0] * (n + 2)
-    for c, row in enumerate(h):
-        for b, a in enumerate(row):
-            if a:
-                diff[b + c] += 1
-                diff[min(b + c + a, n + 1)] -= 1
-    return list(accumulate(diff[:-1]))
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

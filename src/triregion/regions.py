@@ -12,10 +12,11 @@ a over the labels x^a' y^b' z^c', up or down, with b' >= b and c' >= c, so
 x^a y^b z^c divides a label iff a < h[c][b].  This suffix maximum over b,
 then over c, is the dual of ``MonomialIdeal._staircase`` and costs O(d^2).
 The lozenge adjacency is read off cells as well: one neighbour rule, on a
-table keyed by cell, serves region labels here and the rows that
-`triregion.lefschetz` reads off an ideal's staircase.  The Kasteleyn
-signing that ``permanent`` counts tilings with is read off the same cell
-tables, its faces and holes keyed like the cells.
+table keyed by cell, gives each down label its up neighbours' columns, or
+the ``(column, 1)`` entries from which ``_kasteleyn_rows`` reads matrix
+rows straight off the table.  The Kasteleyn signing that ``permanent``
+counts tilings with is read off the same cell tables, its faces and holes
+keyed like the cells.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def _neighbours(column: dict[int, object], d: int, downs: Iterable[int]) -> list
 
     A label of degree d-1 or d-2 is fixed by its cell (b, c), keyed c*d + b.
     ``column`` maps each up cell's key to what a row holds for it: its
-    column, or a ``(column, 1)`` matrix entry.  The down label in cell
+    column, or a ``(column, 1)`` entry, so that ``_kasteleyn_rows`` reads
+    matrix rows straight off the table.  The down label in cell
     (b, c) has its x-, y- and z-neighbours in up cells (b, c), (b+1, c) and
     (b, c+1), keys k, k+1 and k+d.  Each down key gets the values of its up
     neighbours in x, y, z order, ascending with descending revlex columns.

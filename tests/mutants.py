@@ -100,24 +100,31 @@ MUTANTS = [
     Mutant(
         "rank-without-exact-prime",
         "src/triregion/matrices.py",
-        "    p = _exact_prime(rows)\n    return found if p == _RANK_PRIME else _eliminate(rows, cols, p)[0]\n",
-        "    return found\n",
+        "_eliminate(rows, matrix.cols, _exact_prime(rows))[0]",
+        "_eliminate(rows, matrix.cols, (1 << 61) - 1)[0]",
         ("tests/test_matrices.py",),
     ),
     Mutant(
         "wlp-in-degree-unchecked",
         "src/triregion/lefschetz.py",
-        "    _check_degree(d)\n    h = [0, *_hilbert_of(ideal._staircase(d - 1))]",
-        "    h = [0, *_hilbert_of(ideal._staircase(d - 1))]",
+        "    _check_degree(d)\n    h = [0, *ideal._hilbert_values(d - 1)]",
+        "    h = [0, *ideal._hilbert_values(d - 1)]",
         ("tests/test_lefschetz.py",),
     ),
     Mutant(
         "line-rank-trusted",
         "src/triregion/lefschetz.py",
         "    if r < min(rows, cols) and (q := _prime_above(3 ** min(rows, cols))) != p:\n"
-        "        r = cols - d + _line_rank(_restricted(ideal, q), d - 1, q)\n",
+        "        r = cols - d + _line_rank(_restricted(ideal, q, d - 1), d - 1, q)\n",
         "",
         ("tests/test_lefschetz.py::TestDisjointPuncturesSquareIdeal::test_weak_certificate_ranked_exactly",),
+    ),
+    Mutant(
+        "restricted-without-degree-filter",
+        "src/triregion/lefschetz.py",
+        "        if g.degree() > t:\n            continue\n",
+        "",
+        ("tests/test_lefschetz.py::TestRecordsPastSurjectivity::test_generators_past_every_side_not_restricted",),
     ),
     Mutant(
         "line-without-binomials",

@@ -138,6 +138,12 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "syntax"
 
+    def test_generator_beyond_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "wlp", "--ideal", "x^2,y^2,z^100000")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the safety cap" in json.loads(err)["error"]["message"]
+
     def test_usage_error_exit_1(self, capsys):
         assert run(capsys, "wlp")[0] == 1
         assert run(capsys, "no-such-command")[0] == 1

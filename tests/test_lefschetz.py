@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,8 @@ from triregion import (
     wlp_in_degree,
 )
 from triregion import lefschetz, monomials
-from triregion.matrices import _RANK_PRIME, _exact_prime, _prime_above, rank
+from triregion.lefschetz import _RANK_PRIME
+from triregion.matrices import _exact_prime, _prime_above, rank
 from conftest import fraction_rank, modular_rank, random_artinian_ideal
 
 
@@ -283,6 +285,19 @@ class TestRecordsPastSurjectivity:
         with pytest.raises(ValueError, match="degree 21 exceeds the safety cap 20"):
             has_wlp(parse_ideal("x^30, y^30, z^30"))
 
+    def test_generators_past_every_side_not_restricted(self, monkeypatch):
+        # z^3000 lies beyond the cap, so no side can use its 3001 binomials
+        computed = []
+
+        def spied_comb(n, k):
+            computed.append(n)
+            return comb(n, k)
+
+        monkeypatch.setattr(lefschetz, "comb", spied_comb)
+        with pytest.raises(ValueError, match="degree 513 exceeds the safety cap 512"):
+            has_wlp(parse_ideal("x^2, y^2, z^3000"))
+        assert 3000 not in computed
+
 
 class TestDisjointPuncturesSquareIdeal:
     """Diagnostics for (x^7, x^4y^2z^2, xy^3z^3, y^7, z^7).
@@ -317,7 +332,7 @@ class TestDisjointPuncturesSquareIdeal:
         ideal = parse_ideal(self.IDEAL)
         expected = has_wlp(ideal)
         Z = biadjacency(build_region(ideal, 9))
-        forms = lefschetz._restricted(ideal, prime)
+        forms = lefschetz._restricted(ideal, prime, 8)
         assert Z.cols - 9 + lefschetz._line_rank(forms, 8, prime) == line_rank
         assert modular_rank(Z.entries, prime) == line_rank
         monkeypatch.setattr(lefschetz, "_RANK_PRIME", prime)
@@ -343,7 +358,7 @@ def assert_line_identity(ideal):
     for d in range(1, ideal._quotient_degree() + 2):
         Z = biadjacency(build_region(ideal, d))
         for p in PRIMES:
-            line = lefschetz._line_rank(lefschetz._restricted(ideal, p), d - 1, p)
+            line = lefschetz._line_rank(lefschetz._restricted(ideal, p, d - 1), d - 1, p)
             r = modular_rank(Z.entries, p)
             assert Z.cols - d + line == r, (str(ideal), d, p)
             cases += 1

@@ -37,7 +37,7 @@ from conftest import (
 )
 
 
-#: Modulus of the rank certificate in ``triregion.matrices``.
+#: The least modulus ``_exact_prime`` chooses, the Mersenne prime 2^61 - 1.
 PRIME = (1 << 61) - 1
 
 
@@ -185,6 +185,8 @@ class TestDeterminant:
         M = IntegerMatrix.from_rows([[1 << _MERSENNE_EXPONENTS[-1]]])
         with pytest.raises(ValueError, match="too large"):
             determinant(M)
+        with pytest.raises(ValueError, match="too large"):
+            rank(M)
 
 
 class TestExactPrime:
@@ -240,8 +242,8 @@ class TestRank:
         assert rank(reversed_rows(M)) == rank(M) == fraction_rank(M)
 
     def test_failing_wlp_degree(self):
-        # degree 4k of x^3k, y^3k, z^3k, x^k y^k z^k is singular; at k = 5 its
-        # rank is recomputed modulo 2^127 - 1
+        # degree 4k of x^3k, y^3k, z^3k, x^k y^k z^k is singular; at k = 5 it
+        # is ranked modulo 2^127 - 1
         Z = biadjacency(build_region(parse_ideal("x^15, y^15, z^15, x^5y^5z^5"), 20))
         assert (Z.rows, Z.cols) == (150, 150)
         assert _exact_prime(Z.row_entries) == (1 << 127) - 1
