@@ -4,8 +4,9 @@
 Given admissible generator degrees (sum divisible by t-1, every degree
 below the quotient d, at most three odd gaps d - d_i), the constructors
 build ideals whose punctures are pairwise disjoint, perfectly punctured,
-and even where floating.  The strong criterion then certifies both the
-weak Lefschetz property and semistability by one tileability check.
+and even where floating.  The strong criterion then applies, and the
+families' regions tile, so ``criterion_check`` certifies both the weak
+Lefschetz property and semistability by one tileability check.
 """
 
 import os

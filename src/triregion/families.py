@@ -1,9 +1,9 @@
 """Constructors for explicit families with the weak Lefschetz property.
 
 Given admissible generator degrees, these build ideals whose side-d
-regions have pairwise disjoint punctures, perfect puncturing, and even
+regions have pairwise disjoint punctures, perfect puncturing and even
 floating punctures, so the strong criterion of :mod:`triregion.stability`
-applies and certifies both the weak Lefschetz property and semistability.
+applies; the regions tile, so ``criterion_check`` certifies WLP and semistability.
 The constructors re-validate every numeric condition instead of trusting
 the closed formulas, so a bad parameter choice fails loudly.
 """

@@ -126,8 +126,8 @@ class MonomialIdeal:
     """A monomial ideal held by its minimal generators in canonical order.
 
     Construct through :meth:`from_generators`, which minimalizes; the raw
-    constructor insists the tuple is already minimal and sorted.  The zero
-    ideal (no generators) and the unit ideal (generator 1) are both valid.
+    constructor takes distinct, strictly ascending, minimal generators.  The
+    zero ideal (no generators) and the unit ideal (generator 1) are both valid.
     """
 
     generators: tuple[Monomial, ...]
@@ -135,22 +135,21 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = self.generators
         for i, g in enumerate(gens):
-            for h in gens:
-                if h is not g and h.divides(g):
+            if i and revlex_key(gens[i - 1]) >= revlex_key(g):
+                raise ValueError(f"generator {g} does not strictly follow {gens[i - 1]}")
+            for h in gens[:i]:
+                if h.divides(g):
                     raise ValueError(f"generator {g} is divisible by {h}")
-            if i and revlex_key(gens[i - 1]) > revlex_key(g):
-                raise ValueError("generators not in canonical order")
 
     @staticmethod
     def from_generators(gens: Iterable[Monomial]) -> MonomialIdeal:
-        """Minimalize a generator collection; the result is order-insensitive."""
-        unique = set(gens)
-        minimal = [
-            m for m in unique
-            if not any(n != m and n.divides(m) for n in unique)
-        ]
-        minimal.sort(key=revlex_key)
-        return MonomialIdeal(tuple(minimal))
+        """Minimalize a generator collection, order-insensitively: canonical order
+        puts every proper divisor first, so each monomial is tested only against those kept."""
+        kept: list[Monomial] = []
+        for m in sorted(set(gens), key=revlex_key):
+            if not any(k.divides(m) for k in kept):
+                kept.append(m)
+        return MonomialIdeal(tuple(kept))
 
     def is_artinian(self) -> bool:
         """True iff the ideal contains a pure power of each of x, y and z."""

@@ -5,13 +5,14 @@ determinants come from Fraction-based Gaussian elimination, the lozenge
 adjacency from a dict of exponent triples, permanents from
 permutation expansion, multiplication matrices from direct polynomial
 shifts on standard monomial bases found by a plain divisibility scan, socle
-degrees from membership tests degree by degree, colon ideals from each
-generator's lcm with the monomial, region ideals, structural
-scans and over-punctured subregions from testing every monomial against
-every label, floating punctures from a fixed point over the lattice
-vertices of all pairs, Kasteleyn's face condition from a walk round every
-face of the lozenge graph laid out in the plane, and SVG documents from
-each triangle's vertices, computed and formatted one by one.
+degrees from membership tests degree by degree, minimal generators from
+testing every pair, colon ideals from each generator's lcm with the
+monomial, region ideals, structural scans and over-punctured subregions
+from testing every monomial against every label, floating punctures from a
+fixed point over the lattice vertices of all pairs, Kasteleyn's face
+condition from a walk round every face of the lozenge graph laid out in
+the plane, and SVG documents from each triangle's vertices, computed and
+formatted one by one.
 """
 
 from __future__ import annotations
@@ -284,6 +285,14 @@ def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The colon ideal (I : m) = {n : n*m in I}, generated by lcm(g, m)/m
     over the generators g of I."""
     return MonomialIdeal.from_generators(g.lcm(m).divide_by(m) for g in ideal.generators)
+
+
+def minimal_oracle(gens) -> tuple[Monomial, ...]:
+    """The minimal elements of a monomial collection, each tested against
+    every other distinct element and sorted by ``revlex_key``."""
+    unique = set(gens)
+    minimal = [m for m in unique if not any(n != m and n.divides(m) for n in unique)]
+    return tuple(sorted(minimal, key=revlex_key))
 
 
 def standard_by_scan(ideal: MonomialIdeal, j: int) -> list[Monomial]:

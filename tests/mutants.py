@@ -169,6 +169,27 @@ MUTANTS = [
         ("tests/test_monomials.py::TestHilbert::test_hilbert_values_vanish_past_socle",),
     ),
     Mutant(
+        "minimal-order-not-strict",
+        "src/triregion/monomials.py",
+        "if i and revlex_key(gens[i - 1]) >= revlex_key(g):",
+        "if i and revlex_key(gens[i - 1]) > revlex_key(g):",
+        ("tests/test_monomials.py::TestIdeal::test_raw_constructor_names_offender",),
+    ),
+    Mutant(
+        "minimal-from-unsorted",
+        "src/triregion/monomials.py",
+        "for m in sorted(set(gens), key=revlex_key):",
+        "for m in set(gens):",
+        ("tests/test_monomials.py::TestIdeal::test_from_generators_matches_pairwise_oracle",),
+    ),
+    Mutant(
+        "strong-criterion-skips-tiling",
+        "src/triregion/stability.py",
+        "tileable = _tileable(region)\n        wlp_verdict",
+        "tileable = True\n        wlp_verdict",
+        ("tests/test_stability.py::TestStrongCriterionWithoutTiling",),
+    ),
+    Mutant(
         "tileable-ignores-balance",
         "src/triregion/tilings.py",
         "    if len(region.down_labels) != len(region.up_labels):\n        return False\n",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,9 @@ from triregion import (
     parse_ideal,
 )
 from triregion.monomials import monomials_of_degree, revlex_key
-from conftest import ONE, X, Y, Z, artinian_ideals, in_ideal, socle_by_scan, standard_by_scan, times
+from conftest import (
+    ONE, X, Y, Z, artinian_ideals, in_ideal, minimal_oracle, socle_by_scan, standard_by_scan, times,
+)
 
 
 def m(a, b, c):
@@ -181,6 +184,42 @@ class TestIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal((m(1, 0, 0), m(2, 0, 0)))
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ((X, X), "generator x does not strictly follow x"),
+            ((m(1, 0, 0), m(1, 0, 0)), "generator x does not strictly follow x"),
+            ((m(0, 0, 3), m(0, 2, 0), m(0, 1, 1)), "generator y^2 does not strictly follow z^3"),
+            ((m(0, 1, 0), m(2, 1, 1)), "generator x^2*y*z is divisible by y"),
+        ],
+        ids=["one-object-twice", "equal-objects", "unsorted", "non-minimal"],
+    )
+    def test_raw_constructor_names_offender(self, gens, message):
+        # a repeat is rejected by the strict order, before any divisibility test
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MonomialIdeal(gens)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 6)] * 3).map(lambda e: m(*e)), max_size=10).flatmap(
+            lambda gens: st.lists(st.sampled_from(gens), max_size=4).map(lambda extra: gens + extra)
+            if gens else st.just(gens)
+        )
+    )
+    @example([])
+    @example([ONE])
+    @example([*monomials_of_degree(20), m(1, 19, 1), m(20, 0, 1), m(0, 0, 25), m(7, 7, 7)])
+    @example([m(2, 1, 0), m(0, 0, 3), m(2, 1, 0)])
+    def test_from_generators_matches_pairwise_oracle(self, gens):
+        # lists with repeats, in any order; the oracle tests every pair
+        ideal = MonomialIdeal.from_generators(gens)
+        assert ideal.generators == minimal_oracle(gens)
+        assert MonomialIdeal(ideal.generators) == ideal
+
+    def test_corpus_generators_accepted_raw(self, corpus):
+        for ideal, _ in corpus:
+            assert MonomialIdeal(ideal.generators) == ideal
+
     def test_is_artinian(self):
         assert parse_ideal("x^2, y^3, z^4").is_artinian()
         assert not parse_ideal("xy, y^2, z^3").is_artinian()
@@ -247,9 +286,12 @@ class TestHilbert:
     )
     @example(MonomialIdeal(()), 0)
     @example(MonomialIdeal((ONE,)), 0)
-    @example(parse_ideal("x^2, y^2, z^2"), -1)
-    @example(parse_ideal("xy, y^2, z^3"), triregion.monomials.DEGREE_CAP + 1)
+    @example("x^2, y^2, z^2", -1)
+    @example("xy, y^2, z^3", triregion.monomials.DEGREE_CAP + 1)
     def test_staircase_matches_contains_scan(self, ideal, j):
+        # text examples are parsed when the test runs, not when the module
+        # is imported, so a broken minimalization fails tests, not collection
+        ideal = parse_ideal(ideal) if isinstance(ideal, str) else ideal
         # zero, unit and non-Artinian ideals and generators above degree j
         # all go through the staircase; the scan tests every generator.
         # The side-(j + 1) region's labels keep the staircase's order.
@@ -282,13 +324,14 @@ class TestHilbert:
     )
     @example(MonomialIdeal(()), 0)
     @example(MonomialIdeal((ONE,)), 3)
-    @example(parse_ideal("x^12, y^12, z^12"), 40)
-    @example(MonomialIdeal.from_generators(monomials_of_degree(20)), 60)
-    @example(MonomialIdeal.from_generators(monomials_of_degree(7)), 7)
-    @example(parse_ideal("x^2, y^3z^4, y^9"), 5)
-    @example(parse_ideal("x^9y, y^2, z^3"), 5)
-    @example(parse_ideal("xy, z^2"), 0)
+    @example("x^12, y^12, z^12", 40)
+    @example(MonomialIdeal(monomials_of_degree(20)), 60)
+    @example(MonomialIdeal(monomials_of_degree(7)), 7)
+    @example("x^2, y^3z^4, y^9", 5)
+    @example("x^9y, y^2, z^3", 5)
+    @example("xy, z^2", 0)
     def test_hilbert_values_match_hilbert_function(self, ideal, n):
+        ideal = parse_ideal(ideal) if isinstance(ideal, str) else ideal
         # n often lies past the socle of Artinian draws, whose values there
         # are 0.  The examples add a front as dense as one degree allows,
         # generators with b + c > n or of degree above n, which bound no
@@ -342,11 +385,12 @@ class TestSocle:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(artinian_ideals().map(lambda drawn: drawn[0]))
     @example(MonomialIdeal((ONE,)))
-    @example(parse_ideal("x^5, y^3, z^4"))
-    @example(parse_ideal("x, y^7, z^2"))
-    @example(parse_ideal("x^4, x^2y^3, y^5, z^3"))
-    @example(parse_ideal("x^6, x^3z, xz^3, y^4, z^5"))
+    @example("x^5, y^3, z^4")
+    @example("x, y^7, z^2")
+    @example("x^4, x^2y^3, y^5, z^3")
+    @example("x^6, x^3z, xz^3, y^4, z^5")
     def test_staircase_corners_match_contains_scan(self, ideal):
+        ideal = parse_ideal(ideal) if isinstance(ideal, str) else ideal
         # the unit ideal, pure powers only, and z (or y) only in its pure power
         assert ideal.socle_degrees() == socle_by_scan(ideal)
 

@@ -10,15 +10,19 @@ from triregion import (
     Monomial,
     NotArtinianError,
     Semistability,
+    biadjacency,
     build_region,
     criterion_check,
     convenient_family,
     decide_semistability,
     find_tiling,
+    has_wlp,
     monomial_ideal_of_region,
     parse_ideal,
     puncture_list,
+    two_of_three,
 )
+from conftest import fraction_determinant, fraction_rank
 
 DISJOINT_SQUARE = "x^7, x^4y^2z^2, xy^3z^3, y^7, z^7"
 TOUCHING_PAIR = "x^7, x^5yz, xy^3z^3, y^7, z^8"
@@ -106,13 +110,53 @@ class TestStrongCriterionConsequences:
                     assert p.side_length % 2 == 0
 
     def test_fast_verdict_matches_rank_scan(self):
-        from triregion import has_wlp
-
         for t, d in ((3, 5), (4, 7), (5, 9), (8, 13)):
             ideal = convenient_family(t, d)
             report = criterion_check(ideal)
             assert report.applicable_strong
             assert report.wlp_verdict == has_wlp(ideal).verdict
+
+
+class TestStrongCriterionWithoutTiling:
+    """Strong-criterion ideals whose side-d regions do not tile.
+
+    The criterion applies to both, so tileability alone decides the
+    verdicts, and both are negative: the square degree-d matrix is
+    singular, and ``has_wlp`` fails at d.  Every convenient family tiles,
+    so only ideals like these tell the tileability test from a constant.
+    """
+
+    # degrees 6, 6, 7, 6, 7 give d = 8; least lcm degree 9, mixed gaps 2
+    GAPPED = "x^6, x^3y^3, y^7, x^3z^3, z^7"
+    # one floating puncture, of even side 4, at d = 13
+    FLOATING = "x^12, y^11, x^3y^2z^4, y^6z^5, z^9"
+
+    @pytest.mark.parametrize(
+        "text, d, size, witness",
+        [(GAPPED, 8, 25, Monomial(3, 0, 0)), (FLOATING, 13, 64, Monomial(0, 0, 4))],
+    )
+    def test_verdicts_negative(self, text, d, size, witness):
+        ideal = parse_ideal(text)
+        report = criterion_check(ideal)
+        assert report.d == d and report.min_lcm_degree == d + 1
+        assert report.applicable_strong
+        assert report.wlp_verdict is False and report.semistable_verdict is False
+        assert has_wlp(ideal).failing_degree == d
+        region = build_region(ideal, d)
+        matrix = biadjacency(region)
+        assert (matrix.rows, matrix.cols) == (size, size)
+        assert fraction_rank(matrix) == size - 1
+        assert fraction_determinant(matrix) == 0
+        assert find_tiling(region) is None
+        assert two_of_three(region).overpunctured_witness == witness
+        assert decide_semistability(ideal, d) is Semistability.NOT_SEMISTABLE
+
+    def test_gaps_and_floating_puncture(self):
+        gapped = parse_ideal(self.GAPPED)
+        assert [g.degree() for g in gapped.generators] == [6, 6, 7, 6, 7]
+        assert all(8 - g.degree() == 2 for g in gapped.generators if not g.is_pure_power())
+        floating = [p for p in puncture_list(build_region(parse_ideal(self.FLOATING), 13)) if p.floating]
+        assert [(p.generator, p.side_length) for p in floating] == [(Monomial(3, 2, 4), 4)]
 
 
 class TestDecideSemistability:
