@@ -16,7 +16,8 @@ table keyed by cell, gives each down label its up neighbours' columns, or
 the ``(column, 1)`` entries from which ``_kasteleyn_rows`` reads matrix
 rows straight off the table.  The Kasteleyn signing that ``permanent``
 counts tilings with is read off the same cell tables, its faces and holes
-keyed like the cells.
+keyed like the cells.  Where only the cell keys are asked for, ``_cells``
+reads them straight off the ideal's staircase, and no label is built.
 """
 
 from __future__ import annotations
@@ -107,6 +108,24 @@ def build_region(ideal: MonomialIdeal, d: int) -> TriangularRegion:
     # fill the cached label orders, which are not fields: equality and hash are unchanged
     vars(region).update(_up_order=tuple(up), _down_order=tuple(down))
     return region
+
+
+def _cells(ideal: MonomialIdeal, d: int) -> tuple[list[int], list[int]]:
+    """The keys c*d + b of the side-d region's up and down cells, as
+    ``_neighbours`` keys them, in ``build_region``'s descending revlex
+    order, read off the one staircase h through degree d-1 with no label
+    built: up cell (b, c) is present iff d-1-b-c < h[c][b], and down cell
+    (b, c) iff b + c <= d-2 and d-2-b-c < h[c][b]."""
+    if d < 1:
+        raise ValueError("region side length must be positive")
+    _check_degree(d)
+    ups: list[int] = []
+    downs: list[int] = []
+    for c, row in enumerate(ideal._staircase(d - 1)):
+        k, top = c * d, d - 1 - c  # row c has the cells b <= top
+        ups += [k + b for b, a in enumerate(row) if top - b < a]
+        downs += [k + b for b, a in enumerate(row[:-1]) if top - 1 - b < a]
+    return ups, downs
 
 
 def _neighbours(column: dict[int, object], d: int, downs: Iterable[int]) -> list[tuple]:

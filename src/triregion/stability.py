@@ -5,7 +5,9 @@ concluded through the coupling of three conditions on the side-d region of
 an Artinian ideal (perfectly punctured, tileable, semistable: any two
 imply the third) and through the numeric generator-degree criteria that
 link it to the weak Lefschetz property.  Outside those hypotheses the
-verdict is an honest ``Undetermined``.
+verdict is an honest ``Undetermined``.  Tileability is decided on the
+region's cell keys, read straight off the ideal's staircase by
+``regions._cells``: no label, ``Monomial`` or ``TriangularRegion`` is built.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from itertools import combinations
 
 from .lefschetz import has_wlp
 from .monomials import Monomial, MonomialIdeal
-from .regions import build_region, overpuncturing_ideal
-from .tilings import _tileable
+from .regions import _cells, overpuncturing_ideal
+from .tilings import _tiles
 
 
 class Semistability(Enum):
@@ -76,9 +78,13 @@ def criterion_check(ideal: MonomialIdeal) -> CriterionReport:
     Under the strong criterion the verdicts are decided by tileability of
     the side-d region: tileable means the quotient has the weak Lefschetz
     property and the syzygy bundle is semistable, non-tileable negates
-    both.  Under the weak criterion only, the weak Lefschetz property is
-    decided by the full rank scan, and a positive verdict implies
-    semistability; a negative one leaves semistability open.
+    both.  Tileability is the matching on the region's cell keys off the
+    ideal's staircase, with no region built.  Under the weak criterion
+    only, the weak Lefschetz property is decided by the full rank scan, and
+    a positive verdict implies semistability; a negative one leaves
+    semistability open.  Each pair's lcm degree is the sum of the larger
+    exponents, and the first pair of least degree, in generator order, is
+    reported.
     """
     ideal.require_artinian()
     gens = ideal.generators
@@ -93,7 +99,7 @@ def criterion_check(ideal: MonomialIdeal) -> CriterionReport:
     min_lcm_degree = None
     min_lcm_pair = None
     for g, h in combinations(gens, 2):
-        deg = g.lcm(h).degree()
+        deg = max(g.a, h.a) + max(g.b, h.b) + max(g.c, h.c)  # the degree of lcm(g, h)
         if min_lcm_degree is None or deg < min_lcm_degree:
             min_lcm_degree = deg
             min_lcm_pair = (g, h)
@@ -115,8 +121,7 @@ def criterion_check(ideal: MonomialIdeal) -> CriterionReport:
     wlp_verdict: bool | None = None
     semistable_verdict: bool | None = None
     if applicable_strong:
-        region = build_region(ideal, int(d))
-        tileable = _tileable(region)
+        tileable = _tiles(*_cells(ideal, int(d)), int(d))
         wlp_verdict = tileable
         semistable_verdict = tileable
     elif applicable_weak:
@@ -147,16 +152,18 @@ def decide_semistability(ideal: MonomialIdeal, d: int) -> Semistability:
     question both ways.  When it is not perfectly punctured, a tileable
     region still refutes semistability (semistable and tileable together
     would force perfect puncturing); nothing else can be concluded and the
-    verdict is ``Undetermined``.
+    verdict is ``Undetermined``.  Tileability, and emptiness (no up and no
+    down cell, a ``ValueError``), come from one scan of the region's cell
+    keys off the ideal's staircase, with no region built.
     """
     ideal.require_artinian()
     if any(g.degree() > d for g in ideal.generators):
         raise ValueError(f"all generator degrees must be at most {d}")
-    region = build_region(ideal, d)
-    if region.is_empty():
+    ups, downs = _cells(ideal, d)
+    if not ups and not downs:
         raise ValueError("the side-d region is empty")
     perfectly = overpuncturing_ideal(ideal, d) == 0
-    tileable = _tileable(region)
+    tileable = _tiles(ups, downs, d)
     if perfectly:
         return Semistability.SEMISTABLE if tileable else Semistability.NOT_SEMISTABLE
     if tileable:

@@ -22,6 +22,7 @@ from .regions import (
     Balance,
     TriangularRegion,
     _adjacency,
+    _neighbours,
     monomial_ideal_of_region,
     overpuncturing_ideal,
     triangle_counts,
@@ -127,10 +128,22 @@ def _matching(neighbors: list[tuple[int, ...]], cols: int) -> list[int] | None:
 
 
 def _tileable(region: TriangularRegion) -> bool:
-    """``find_tiling(region) is not None``, without building the tiling."""
-    if len(region.down_labels) != len(region.up_labels):
+    """``find_tiling(region) is not None``, without building the tiling:
+    ``_tiles`` on the keys of the region's labels."""
+    d = region.d
+    return _tiles([m.c * d + m.b for m in region._up_order], [m.c * d + m.b for m in region._down_order], d)
+
+
+def _tiles(ups: list[int], downs: list[int], d: int) -> bool:
+    """Whether the side-d region with these up and down cell keys, each side
+    in descending revlex order, tiles: it is balanced and ``_matching``
+    matches the ``_neighbours`` rows that ``find_tiling`` matches.  The keys
+    come from a region's labels (``_tileable``) or straight off an ideal's
+    staircase (``regions._cells``)."""
+    if len(downs) != len(ups):
         return False
-    return _matching(_adjacency(region)[2], len(region.up_labels)) is not None
+    column = {k: j for j, k in enumerate(ups)}
+    return _matching(_neighbours(column, d, downs), len(ups)) is not None
 
 
 def find_tiling(region: TriangularRegion) -> Tiling | None:

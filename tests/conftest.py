@@ -54,6 +54,8 @@ from triregion.render import (
 
 CORPUS_SEED = 20260811
 CORPUS_SIZE = 500
+#: Seed of the held-out corpus that the benchmark's ``--corpus-seed`` also runs.
+HELD_OUT_SEED = 20261017
 
 ONE = Monomial(0, 0, 0)
 X = Monomial(1, 0, 0)

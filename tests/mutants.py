@@ -185,16 +185,37 @@ MUTANTS = [
     Mutant(
         "strong-criterion-skips-tiling",
         "src/triregion/stability.py",
-        "tileable = _tileable(region)\n        wlp_verdict",
+        "tileable = _tiles(*_cells(ideal, int(d)), int(d))\n        wlp_verdict",
         "tileable = True\n        wlp_verdict",
         ("tests/test_stability.py::TestStrongCriterionWithoutTiling",),
     ),
     Mutant(
         "tileable-ignores-balance",
         "src/triregion/tilings.py",
-        "    if len(region.down_labels) != len(region.up_labels):\n        return False\n",
+        "    if len(downs) != len(ups):\n        return False\n",
         "",
         ("tests/test_tilings.py::TestTileable",),
+    ),
+    Mutant(
+        "cells-up-test-inclusive",
+        "src/triregion/regions.py",
+        "ups += [k + b for b, a in enumerate(row) if top - b < a]",
+        "ups += [k + b for b, a in enumerate(row) if top - b <= a]",
+        ("tests/test_tilings.py::TestTileable::test_staircase_on_corpora",),
+    ),
+    Mutant(
+        "cells-down-admits-degree-d-1",
+        "src/triregion/regions.py",
+        "downs += [k + b for b, a in enumerate(row[:-1]) if top - 1 - b < a]",
+        "downs += [k + b for b, a in enumerate(row) if top - 1 - b < a]",
+        ("tests/test_tilings.py::TestTileable::test_staircase_on_families",),
+    ),
+    Mutant(
+        "lcm-degree-sums-z",
+        "src/triregion/stability.py",
+        "max(g.a, h.a) + max(g.b, h.b) + max(g.c, h.c)",
+        "max(g.a, h.a) + max(g.b, h.b) + g.c + h.c",
+        ("tests/test_stability.py::TestCriterionCheck",),
     ),
 ]
 

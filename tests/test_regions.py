@@ -23,7 +23,7 @@ from triregion import (
     triangle_counts,
 )
 from triregion.monomials import monomials_of_degree, revlex_key
-from triregion.regions import _adjacency
+from triregion.regions import _adjacency, _cells
 from conftest import (
     X,
     Y,
@@ -87,6 +87,44 @@ class TestBuildRegion:
         assert TriangularRegion(cap, frozenset(), frozenset()).d == cap
         with pytest.raises(ValueError, match="safety cap"):
             TriangularRegion(cap + 1, frozenset(), frozenset())
+
+
+def region_keys(region):
+    """The keys c*d + b of the region's up and down labels, in descending revlex order."""
+    d = region.d
+    return [m.c * d + m.b for m in region.up_sorted()], [m.c * d + m.b for m in region.down_sorted()]
+
+
+class TestCells:
+    """``_cells`` reads the keys of ``build_region``'s labels, in the same
+    order, off the ideal's staircase."""
+
+    def test_reference_region(self):
+        # up x^3, x^2z, xz^2, yz^2 and down x^2, xz, z^2, yz at d = 4
+        assert _cells(parse_ideal("xy, y^2, z^3"), 4) == ([0, 4, 8, 9], [0, 4, 5, 8])
+
+    @pytest.mark.parametrize("text", ["0", "1", "xy, y^2, z^3", "x, y, z^2", TOUCHING_IDEAL])
+    def test_small_and_non_artinian_ideals(self, text):
+        ideal = parse_ideal(text)
+        for d in range(1, 10):
+            assert _cells(ideal, d) == region_keys(build_region(ideal, d)), d
+
+    def test_corpus_around_its_side(self, corpus):
+        for ideal, d in corpus:
+            for side in (d - 1, d, d + 1):
+                assert _cells(ideal, side) == region_keys(build_region(ideal, side)), (str(ideal), side)
+
+    @settings(derandomize=True, deadline=None)
+    @given(artinian_ideals())
+    def test_random_ideals(self, drawn):
+        ideal, d = drawn
+        assert _cells(ideal, d) == region_keys(build_region(ideal, d))
+
+    def test_invalid_sides(self):
+        with pytest.raises(ValueError, match="side length must be positive"):
+            _cells(ZERO, 0)
+        with pytest.raises(ValueError, match="safety cap"):
+            _cells(ZERO, triregion.monomials.DEGREE_CAP + 1)
 
 
 class TestTriangleCounts:

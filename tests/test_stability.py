@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from triregion import (
     puncture_list,
     two_of_three,
 )
+from triregion.regions import TriangularRegion
 from conftest import fraction_determinant, fraction_rank
 
 DISJOINT_SQUARE = "x^7, x^4y^2z^2, xy^3z^3, y^7, z^7"
@@ -77,6 +79,15 @@ class TestCriterionCheck:
         assert payload["cond_parity"] is False
         assert payload["parity_offenders"] == ["x^4*y^2*z^2"]
         assert payload["min_lcm_degree"] >= 10
+
+    def test_min_lcm_pair_is_the_first_least_lcm(self, corpus):
+        families = [convenient_family(t, d) for t in (4, 6, 8) for d in (13, 17, 21, 25)]
+        for ideal in [ideal for ideal, _ in corpus] + families:
+            pairs = list(combinations(ideal.generators, 2))
+            degrees = [g.lcm(h).degree() for g, h in pairs]
+            report = criterion_check(ideal)
+            assert report.min_lcm_degree == min(degrees), str(ideal)
+            assert report.min_lcm_pair == pairs[degrees.index(min(degrees))], str(ideal)
 
     def test_applicable_strong_implies_weak(self):
         for t, d in ((3, 4), (4, 6), (5, 8), (6, 10)):
@@ -192,6 +203,38 @@ class TestDecideSemistability:
         with pytest.raises(ValueError):
             decide_semistability(parse_ideal("1"), 3)
 
+    def test_empty_region_message(self):
+        with pytest.raises(ValueError, match=r"^the side-d region is empty$"):
+            decide_semistability(parse_ideal("x, y, z"), 3)
+
     def test_non_artinian_rejected(self):
         with pytest.raises(NotArtinianError):
             decide_semistability(parse_ideal("xy, y^2, z^3"), 5)
+
+
+class TestNoRegionBuilt:
+    """The strong criterion and the semistability decision read tileability
+    off the ideal's staircase; neither builds a ``TriangularRegion``."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_regions(self, monkeypatch):
+        def refuse(region):
+            raise AssertionError("a TriangularRegion was built")
+
+        monkeypatch.setattr(TriangularRegion, "__post_init__", refuse)
+
+    @pytest.mark.parametrize("t, d", [(4, 13), (8, 25), (6, 25)])
+    def test_family(self, t, d):
+        ideal = convenient_family(t, d)
+        report = criterion_check(ideal)
+        assert report.applicable_strong and report.wlp_verdict is True
+        assert decide_semistability(ideal, d) is Semistability.SEMISTABLE
+
+    def test_strong_ideal_without_tiling(self):
+        ideal = parse_ideal(TestStrongCriterionWithoutTiling.GAPPED)
+        assert criterion_check(ideal).wlp_verdict is False
+        assert decide_semistability(ideal, 8) is Semistability.NOT_SEMISTABLE
+
+    def test_refusal_is_armed(self):
+        with pytest.raises(AssertionError, match="TriangularRegion"):
+            build_region(convenient_family(4, 13), 13)

@@ -18,6 +18,7 @@ from triregion import (
     Tiling,
     TilingCount,
     build_region,
+    convenient_family,
     enumerate_tilings,
     find_tiling,
     is_tileable_structural,
@@ -29,8 +30,23 @@ from triregion import (
 )
 from triregion.monomials import revlex_key
 from triregion.matrices import _count_perfect_matchings
-from triregion.tilings import _tileable
-from conftest import X, Y, Z, artinian_regions, hexagon, label_sets, macmahon, random_artinian_ideal, times
+from triregion.regions import _cells
+from triregion.tilings import _tileable, _tiles
+from conftest import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    HELD_OUT_SEED,
+    X,
+    Y,
+    Z,
+    artinian_ideals,
+    artinian_regions,
+    hexagon,
+    label_sets,
+    macmahon,
+    random_artinian_ideal,
+    times,
+)
 
 
 def m(a, b, c):
@@ -201,8 +217,19 @@ class TestFindTilingOracle:
         self.check(region)
 
 
+def staircase_tiles(ideal: MonomialIdeal, side: int) -> bool:
+    """The tileability verdict of the side-``side`` region read off the ideal's staircase."""
+    return _tiles(*_cells(ideal, side), side)
+
+
+def region_tiles(ideal: MonomialIdeal, side: int) -> bool:
+    return find_tiling(build_region(ideal, side)) is not None
+
+
 class TestTileable:
-    """``_tileable``, which builds no tiling, agrees with ``find_tiling``."""
+    """``_tileable``, which builds no tiling, and ``_tiles`` on the cell
+    keys off an ideal's staircase, which builds no region, agree with
+    ``find_tiling``."""
 
     def test_corpus_around_its_side(self, corpus):
         for ideal, d in corpus:
@@ -214,6 +241,38 @@ class TestTileable:
     @given(st.one_of(label_sets(), label_sets(balanced=False)))
     def test_label_sets(self, region):
         assert _tileable(region) == (find_tiling(region) is not None)
+
+    @pytest.mark.parametrize("seed", [CORPUS_SEED, HELD_OUT_SEED])
+    def test_staircase_on_corpora(self, seed):
+        rng = random.Random(seed)
+        for _ in range(CORPUS_SIZE):
+            ideal, d = random_artinian_ideal(rng)
+            for side in (d - 1, d, d + 1):
+                assert staircase_tiles(ideal, side) == region_tiles(ideal, side), (str(ideal), side)
+
+    @pytest.mark.parametrize(
+        "t, d", [(t, d) for t in (4, 6, 8) for d in (13, 17, 21, 25)] + [(8, 20), (6, 25)]
+    )
+    def test_staircase_on_families(self, t, d):
+        ideal = convenient_family(t, d)
+        for side in (d - 1, d, d + 1):
+            assert staircase_tiles(ideal, side) == region_tiles(ideal, side), side
+        assert staircase_tiles(ideal, d)
+
+    @pytest.mark.parametrize(
+        "text, d", [("x^6, x^3y^3, y^7, x^3z^3, z^7", 8), ("x^12, y^11, x^3y^2z^4, y^6z^5, z^9", 13)]
+    )
+    def test_staircase_on_strong_ideals_without_tiling(self, text, d):
+        ideal = parse_ideal(text)
+        assert not staircase_tiles(ideal, d)
+        assert not region_tiles(ideal, d)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(artinian_ideals())
+    def test_staircase_on_ideals(self, drawn):
+        ideal, d = drawn
+        for side in range(max(d - 1, 1), d + 2):
+            assert staircase_tiles(ideal, side) == region_tiles(ideal, side)
 
 
 class TestEnumerate:
